@@ -80,41 +80,288 @@ impl SchemeKind {
         SchemeKind::Scue,
     ];
 
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
+    /// The scheme's descriptor: every per-scheme fact, in one table.
+    #[rustfmt::skip]
+    pub const fn spec(self) -> &'static SchemeSpec {
         match self {
-            SchemeKind::Baseline => "Baseline",
-            SchemeKind::Lazy => "Lazy",
-            SchemeKind::Eager => "Eager",
-            SchemeKind::Plp => "PLP",
-            SchemeKind::BmfIdeal => "BMF-ideal",
-            SchemeKind::Scue => "SCUE",
-            SchemeKind::Phoenix => "Phoenix",
-            SchemeKind::TriadL1 => "Triad-L1",
-            SchemeKind::TriadL2 => "Triad-L2",
-            SchemeKind::Zuo => "Zuo",
-            SchemeKind::Freij => "Freij",
+            SchemeKind::Baseline => &SchemeSpec {
+                name: "Baseline", token: "baseline", code: 0, verify_on_write: false,
+                tree_update: TreeUpdate::None, hashes: HashSchedule::None,
+                persist_shadows: false, root: RootPolicy::None, drain_gates_ack: false,
+                on_chip_bytes: 0, on_chip_bytes_per_leaf: 0,
+                on_chip_state: "none (no integrity tree)",
+            },
+            SchemeKind::Lazy => &SchemeSpec {
+                name: "Lazy", token: "lazy", code: 1, verify_on_write: true,
+                tree_update: TreeUpdate::ParentFirst, hashes: HashSchedule::LeafPairThenParent,
+                persist_shadows: false, root: RootPolicy::FlushOnly, drain_gates_ack: true,
+                on_chip_bytes: 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: ROOT_REGISTER_ONLY,
+            },
+            SchemeKind::Eager => &SchemeSpec {
+                name: "Eager", token: "eager", code: 2, verify_on_write: true,
+                tree_update: TreeUpdate::BranchFirst, hashes: HashSchedule::Branch,
+                persist_shadows: false, root: RootPolicy::DeferredQueue, drain_gates_ack: true,
+                on_chip_bytes: 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: ROOT_REGISTER_ONLY,
+            },
+            SchemeKind::Plp => &SchemeSpec {
+                name: "PLP", token: "plp", code: 3, verify_on_write: true,
+                tree_update: TreeUpdate::BranchFirst, hashes: HashSchedule::Branch,
+                persist_shadows: true, root: RootPolicy::RunningRootAdd, drain_gates_ack: true,
+                // PTT 616 B + ETT 48 b (rounded up to 6 B), plus the root.
+                on_chip_bytes: 64 + 616 + 6, on_chip_bytes_per_leaf: 0,
+                on_chip_state: "root register + PTT (616 B) + ETT (48 b)",
+            },
+            SchemeKind::BmfIdeal => &SchemeSpec {
+                name: "BMF-ideal", token: "bmf", code: 4, verify_on_write: true,
+                tree_update: TreeUpdate::None, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::Nvmc, drain_gates_ack: false,
+                // The paper accounts one 64 B persistent-root entry per
+                // counter block (§V-F: 256 MB for 16 GB).
+                on_chip_bytes: 0, on_chip_bytes_per_leaf: 64,
+                on_chip_state: "nvMC holding a persistent root per counter block",
+            },
+            SchemeKind::Scue => &SchemeSpec {
+                name: "SCUE", token: "scue", code: 5, verify_on_write: false,
+                tree_update: TreeUpdate::ParentAfterAck, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::RecoveryRootAdd, drain_gates_ack: false,
+                on_chip_bytes: 128, on_chip_bytes_per_leaf: 0,
+                on_chip_state: "Running_root + Recovery_root (two 64 B NV registers)",
+            },
+            SchemeKind::Phoenix => &SchemeSpec {
+                name: "Phoenix", token: "phoenix", code: 6, verify_on_write: true,
+                tree_update: TreeUpdate::BranchFirst, hashes: HashSchedule::SerialBranch,
+                persist_shadows: true, root: RootPolicy::RunningRootAdd, drain_gates_ack: true,
+                // Root register plus a persist-queue tracker for the in-
+                // flight branch persists (one 64 B line's worth of state).
+                on_chip_bytes: 64 + 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: "root register + branch persist tracker (64 B)",
+            },
+            SchemeKind::TriadL1 => &SchemeSpec {
+                name: "Triad-L1", token: "triad1", code: 7, verify_on_write: true,
+                tree_update: TreeUpdate::ParentAfterAck, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::FlushOnly, drain_gates_ack: false,
+                on_chip_bytes: 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: ROOT_REGISTER_ONLY,
+            },
+            SchemeKind::TriadL2 => &SchemeSpec {
+                name: "Triad-L2", token: "triad2", code: 8, verify_on_write: true,
+                tree_update: TreeUpdate::PersistParent, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::FlushOnly, drain_gates_ack: false,
+                on_chip_bytes: 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: ROOT_REGISTER_ONLY,
+            },
+            SchemeKind::Zuo => &SchemeSpec {
+                name: "Zuo", token: "zuo", code: 9, verify_on_write: true,
+                tree_update: TreeUpdate::BranchAfterAck, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::DeferredQueue, drain_gates_ack: true,
+                on_chip_bytes: 64, on_chip_bytes_per_leaf: 0,
+                on_chip_state: ROOT_REGISTER_ONLY,
+            },
+            SchemeKind::Freij => &SchemeSpec {
+                name: "Freij", token: "freij", code: 10, verify_on_write: true,
+                tree_update: TreeUpdate::BranchFirst, hashes: HashSchedule::LeafPair,
+                persist_shadows: false, root: RootPolicy::RunningRootAdd, drain_gates_ack: true,
+                // Root register plus the update-coalescing buffer tags
+                // (modelled at 256 B, in the PTT's ballpark but smaller).
+                on_chip_bytes: 64 + 256, on_chip_bytes_per_leaf: 0,
+                on_chip_state: "root register + coalescing buffer tags (256 B)",
+            },
         }
     }
 
+    /// Display name matching the paper.
+    pub const fn name(self) -> &'static str {
+        self.spec().name
+    }
+
+    /// The lower-case CLI and replay-spec token (`bmf` for BMF-ideal).
+    pub const fn token(self) -> &'static str {
+        self.spec().token
+    }
+
+    /// Parses a scheme from its token or its display name, ignoring
+    /// ASCII case (`bmf`, `bmf-ideal` and `BMF-ideal` all name BMF-ideal).
+    pub fn parse(s: &str) -> Option<SchemeKind> {
+        SchemeKind::ALL
+            .into_iter()
+            .find(|k| s.eq_ignore_ascii_case(k.token()) || s.eq_ignore_ascii_case(k.name()))
+    }
+
+    /// Every token in [`SchemeKind::ALL`] order, `|`-separated, for
+    /// usage text.
+    pub fn token_choices() -> String {
+        SchemeKind::ALL.map(SchemeKind::token).join("|")
+    }
+
+    /// The scheme's code in durable image metadata.
+    pub const fn code(self) -> u8 {
+        self.spec().code
+    }
+
+    /// Decodes a durable image scheme code.
+    pub fn from_code(code: u8) -> Option<SchemeKind> {
+        SchemeKind::ALL.into_iter().find(|k| k.code() == code)
+    }
+
+    /// How the scheme keeps the trust base its recovery checks against.
+    pub const fn root_discipline(self) -> RootDiscipline {
+        self.spec().root.discipline()
+    }
+
     /// Whether the scheme maintains an integrity tree at all.
-    pub fn is_secure(self) -> bool {
-        !matches!(self, SchemeKind::Baseline)
+    pub const fn is_secure(self) -> bool {
+        !matches!(self.root_discipline(), RootDiscipline::Unverified)
+    }
+
+    /// Whether an SIT sits above the counter blocks: leaf MACs are keyed
+    /// by the parent counter, flushes propagate upward and recovery
+    /// rebuilds the tree by counter summing. BMF-ideal's persistent
+    /// roots sit directly above the leaves instead.
+    pub const fn has_sit(self) -> bool {
+        matches!(
+            self.root_discipline(),
+            RootDiscipline::Stale | RootDiscipline::Deferred | RootDiscipline::Atomic
+        )
     }
 
     /// Whether the scheme guarantees the on-chip root (or equivalent
     /// persistent trust base) is consistent with persisted leaves at
     /// *every* instant — i.e., no crash window.
-    pub fn root_crash_consistent(self) -> bool {
+    pub const fn root_crash_consistent(self) -> bool {
         matches!(
-            self,
-            SchemeKind::Plp
-                | SchemeKind::BmfIdeal
-                | SchemeKind::Scue
-                | SchemeKind::Phoenix
-                | SchemeKind::Freij
+            self.root_discipline(),
+            RootDiscipline::Atomic | RootDiscipline::PerLeaf
         )
     }
+}
+
+const ROOT_REGISTER_ONLY: &str = "one 64 B root register (no crash consistency)";
+
+/// Everything that distinguishes one update scheme from another (see
+/// DESIGN.md §5, "The scheme descriptor"). The engine's write path,
+/// recovery, the durable image format, the crash model checker and the
+/// CLIs all read these fields instead of naming schemes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchemeSpec {
+    /// Display name matching the paper.
+    pub name: &'static str,
+    /// CLI and replay-spec token.
+    pub token: &'static str,
+    /// Code in durable image metadata (pinned: images outlive builds).
+    pub code: u8,
+    /// Whether the write path verifies a fetched counter block against
+    /// its trust base before using it.
+    pub verify_on_write: bool,
+    /// Which tree update a persist runs, and on which side of the ack.
+    pub tree_update: TreeUpdate,
+    /// The hash-engine work ahead of the ack.
+    pub hashes: HashSchedule,
+    /// Whether every cached branch node is written through as a shadow
+    /// copy inside the ack.
+    pub persist_shadows: bool,
+    /// Where root trust lives and when it learns about a persist.
+    pub root: RootPolicy,
+    /// Whether draining displaced dirty metadata gates the ack.
+    pub drain_gates_ack: bool,
+    /// Fixed non-volatile on-chip bytes beyond the metadata cache (§V-F).
+    pub on_chip_bytes: u64,
+    /// Further non-volatile on-chip bytes per counter block.
+    pub on_chip_bytes_per_leaf: u64,
+    /// What that on-chip state is.
+    pub on_chip_state: &'static str,
+}
+
+/// The tree update a persist performs beyond its own counter block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeUpdate {
+    /// Nothing above the leaf.
+    None,
+    /// The parent takes the leaf's dummy counter before the leaf hashes,
+    /// on the critical path.
+    ParentFirst,
+    /// Every ancestor takes the cascaded dummy counters before the leaf
+    /// hashes, on the critical path.
+    BranchFirst,
+    /// The parent takes the leaf's dummy counter once the persist is
+    /// acknowledged, off the critical path.
+    ParentAfterAck,
+    /// After the leaf hashes the parent is updated, re-MACed and written
+    /// through; the ack waits for that write.
+    PersistParent,
+    /// After the leaf hashes every ancestor is updated and re-MACed in
+    /// one batch, off the ack; a deferred root lands when it finishes.
+    BranchAfterAck,
+}
+
+/// The hash-engine work a persist issues ahead of its ack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HashSchedule {
+    /// No MACs at all.
+    None,
+    /// Leaf MAC and data MAC in one parallel batch.
+    LeafPair,
+    /// The leaf pair, then the parent's MAC serialised behind it.
+    LeafPairThenParent,
+    /// Every stored branch node's MAC plus the leaf pair in one parallel
+    /// batch.
+    Branch,
+    /// The leaf pair, then one MAC per level above it, serially
+    /// bottom-up (each depends on the fresh child).
+    SerialBranch,
+}
+
+/// Where root trust lives and when it learns about a persist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RootPolicy {
+    /// No root: nothing is verified.
+    None,
+    /// The running root moves only when a top-level node is flushed.
+    FlushOnly,
+    /// The root delta is queued and lands when branch propagation
+    /// finishes; a crash in between loses it (§III-B).
+    DeferredQueue,
+    /// The running root absorbs the delta at the ack.
+    RunningRootAdd,
+    /// SCUE's shortcut: the `Recovery_root` absorbs the delta at the ack,
+    /// and the running root moves on top-level flushes.
+    RecoveryRootAdd,
+    /// One persistent root per counter block in a non-volatile metadata
+    /// cache, written (after the leaf hash) inside the ack.
+    Nvmc,
+}
+
+impl RootPolicy {
+    /// The recovery-relevant coarsening of this policy.
+    pub const fn discipline(self) -> RootDiscipline {
+        match self {
+            RootPolicy::None => RootDiscipline::Unverified,
+            RootPolicy::FlushOnly => RootDiscipline::Stale,
+            RootPolicy::DeferredQueue => RootDiscipline::Deferred,
+            RootPolicy::RunningRootAdd | RootPolicy::RecoveryRootAdd => RootDiscipline::Atomic,
+            RootPolicy::Nvmc => RootDiscipline::PerLeaf,
+        }
+    }
+}
+
+/// How a scheme maintains the trust base its recovery checks against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RootDiscipline {
+    /// No integrity tree at all (Baseline): nothing to check.
+    Unverified,
+    /// The durable root is never updated per persist (Lazy, Triad-NVM):
+    /// the trust base only moves on top-level flushes.
+    Stale,
+    /// Root increments are queued and settle asynchronously (Eager,
+    /// Zuo): a crash inside the window loses them (§III-B).
+    Deferred,
+    /// The root update is atomic with the leaf persist (PLP, Phoenix,
+    /// Freij, SCUE's `Recovery_root`).
+    Atomic,
+    /// One on-chip register per leaf, updated atomically with the leaf
+    /// (idealised BMF).
+    PerLeaf,
 }
 
 impl std::fmt::Display for SchemeKind {
@@ -258,6 +505,64 @@ mod tests {
             !SecureMemConfig::paper(SchemeKind::Scue).counter_repair,
             "repair must be opt-in: it would mask roll-back attacks"
         );
+    }
+
+    #[test]
+    fn tokens_round_trip_through_parse() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(SchemeKind::parse(scheme.token()), Some(scheme));
+            assert_eq!(SchemeKind::parse(scheme.name()), Some(scheme));
+        }
+        assert_eq!(SchemeKind::parse("nope"), None);
+        assert_eq!(SchemeKind::parse(""), None);
+    }
+
+    #[test]
+    fn every_legacy_cli_spelling_still_parses() {
+        // The spellings the bins' own `--scheme` tables accepted; two of
+        // them also lower-cased their input first.
+        for (spelling, scheme) in [
+            ("baseline", SchemeKind::Baseline),
+            ("lazy", SchemeKind::Lazy),
+            ("eager", SchemeKind::Eager),
+            ("plp", SchemeKind::Plp),
+            ("bmf", SchemeKind::BmfIdeal),
+            ("bmf-ideal", SchemeKind::BmfIdeal),
+            ("scue", SchemeKind::Scue),
+            ("phoenix", SchemeKind::Phoenix),
+            ("triad1", SchemeKind::TriadL1),
+            ("triad2", SchemeKind::TriadL2),
+            ("zuo", SchemeKind::Zuo),
+            ("freij", SchemeKind::Freij),
+        ] {
+            assert_eq!(SchemeKind::parse(spelling), Some(scheme), "{spelling}");
+            let upper = spelling.to_ascii_uppercase();
+            assert_eq!(SchemeKind::parse(&upper), Some(scheme), "{upper}");
+        }
+    }
+
+    #[test]
+    fn root_disciplines_follow_the_root_policy() {
+        use RootDiscipline::*;
+        for (scheme, discipline) in [
+            (SchemeKind::Baseline, Unverified),
+            (SchemeKind::Lazy, Stale),
+            (SchemeKind::TriadL1, Stale),
+            (SchemeKind::TriadL2, Stale),
+            (SchemeKind::Eager, Deferred),
+            (SchemeKind::Zuo, Deferred),
+            (SchemeKind::Plp, Atomic),
+            (SchemeKind::Scue, Atomic),
+            (SchemeKind::Phoenix, Atomic),
+            (SchemeKind::Freij, Atomic),
+            (SchemeKind::BmfIdeal, PerLeaf),
+        ] {
+            assert_eq!(scheme.root_discipline(), discipline, "{scheme}");
+            assert_eq!(
+                scheme.has_sit(),
+                scheme.is_secure() && discipline != PerLeaf
+            );
+        }
     }
 
     #[test]

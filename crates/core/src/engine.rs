@@ -1,4 +1,4 @@
-//! The secure-memory engine: one functional+timing machine, six schemes.
+//! The secure-memory engine: one functional+timing machine, eleven schemes.
 //!
 //! All schemes share a single functional layer — counter-mode encryption,
 //! write-through leaf counter blocks (Supermem-style, which the paper
@@ -14,6 +14,9 @@
 //!   (this produces the crash-window behaviour of Fig. 5 and the recovery
 //!   outcomes of §III-B).
 //!
+//! Both are read from the scheme's [`SchemeSpec`](crate::config::SchemeSpec);
+//! the engine never names a scheme.
+//!
 //! The functional layer is deliberately identical across secure schemes —
 //! including the dummy-counter MAC convention that makes SIT
 //! reconstructable. The paper's Lazy/Eager SIT cannot be rebuilt at all
@@ -21,7 +24,9 @@
 //! *conservative*: they still fail recovery, purely from root crash
 //! inconsistency, which is the paper's headline problem.
 
-use crate::config::{SchemeKind, SecureMemConfig};
+use crate::config::{
+    HashSchedule, RootDiscipline, RootPolicy, SchemeKind, SecureMemConfig, TreeUpdate,
+};
 use crate::durable::{CheckpointError, CheckpointReport, DurableMeta, DurableOpenError};
 use crate::meta::MetaEntry;
 use crate::recovery::{self, RecoveryOutcome, RecoveryReport};
@@ -518,8 +523,8 @@ impl SecureMemory {
 
     /// Drains the victim buffer: every parked entry is flushed with the
     /// fetch-free atomic flush. Returns the completion cycle of the flush
-    /// work — Lazy/Eager/PLP take it on the write critical path, SCUE's
-    /// dummy counter keeps it off (§IV-A2).
+    /// work — schemes whose `drain_gates_ack` is set take it on the write
+    /// critical path; SCUE's dummy counter keeps it off (§IV-A2).
     fn drain_victims(&mut self, now: Cycle) -> Cycle {
         let mut done = now;
         while let Some((addr, entry)) = self.victims.pop() {
@@ -579,7 +584,7 @@ impl SecureMemory {
     /// the completion cycle of the NVM traffic it generated.
     fn propagate_flush(&mut self, child: NodeId, child_dummy: u64, now: Cycle) -> Cycle {
         let _span = span::enter("itree.walk");
-        if !self.cfg.scheme.is_secure() || self.cfg.scheme == SchemeKind::BmfIdeal {
+        if !self.cfg.scheme.has_sit() {
             // BMF-ideal has no tree above L1; its persistent root is
             // refreshed in the persist path.
             return now;
@@ -590,16 +595,13 @@ impl SecureMemory {
         loop {
             match self.ctx.geometry().parent(cur) {
                 Parent::Root(slot) => {
-                    // Lazy/SCUE/Triad maintain the running root via
-                    // top-level flushes; Eager/PLP/Phoenix/Zuo/Freij
+                    // Flush-only and Recovery_root schemes maintain the
+                    // running root via top-level flushes; the others
                     // account the root per persist, so a flush-time
                     // overwrite would double count.
                     if matches!(
-                        self.cfg.scheme,
-                        SchemeKind::Lazy
-                            | SchemeKind::Scue
-                            | SchemeKind::TriadL1
-                            | SchemeKind::TriadL2
+                        self.cfg.scheme.spec().root,
+                        RootPolicy::FlushOnly | RootPolicy::RecoveryRootAdd
                     ) {
                         self.running_root.set(slot, dummy);
                     }
@@ -836,10 +838,10 @@ impl SecureMemory {
         let (line, t_read) = self.mc.read(addr, now, AccessKind::Metadata);
         let block = CounterBlock::from_line(&line);
         let mac = self.sideband.get(addr);
-        let t_ready = match self.cfg.scheme {
+        let t_ready = match self.cfg.scheme.root_discipline() {
             _ if !verify => t_read,
-            SchemeKind::Baseline => t_read,
-            SchemeKind::BmfIdeal => {
+            RootDiscipline::Unverified => t_read,
+            RootDiscipline::PerLeaf => {
                 // Verify against the persistent root in the nvMC.
                 let expected = self.nvmc.get(&leaf.index).copied().unwrap_or(0);
                 let actual = if block.write_count() == 0 && expected == 0 {
@@ -951,8 +953,8 @@ impl SecureMemory {
 
         // 1. Counter block on chip (needed for encryption in all schemes).
         // SCUE's shortcut write path performs no ancestor reads at all.
-        let verify_on_write = !matches!(self.cfg.scheme, SchemeKind::Scue | SchemeKind::Baseline);
-        let (mut block, t_meta) = self.ensure_leaf_cached(leaf, now, verify_on_write)?;
+        let spec = self.cfg.scheme.spec();
+        let (mut block, t_meta) = self.ensure_leaf_cached(leaf, now, spec.verify_on_write)?;
         let old_block = block;
 
         // 2. Advance the minor counter; handle overflow (§II-B).
@@ -981,206 +983,103 @@ impl SecureMemory {
             self.sideband.set(addr, mac);
         }
 
-        // 4. Scheme-specific leaf persist + tree/root policy. Each arm
-        // yields `(program_done, wlat_gate)`: the cycle the persist is
-        // program-visibly complete (what fences wait on) and the cycle
-        // the scheme's write-path work finishes (what Fig. 9 measures).
+        // 4. Leaf persist plus the scheme's tree and root policy, in one
+        // fixed order: tree update ahead of the hashes, hashes, leaf
+        // write-through, shadows, synchronous root update, tree update
+        // behind the hashes, deferred root update. `ack` is the cycle the
+        // persist is program-visibly complete: what fences wait on and
+        // what Fig. 9 measures.
         let leaf_dummy = self.ctx.leaf_dummy(&block);
         let root_slot = geom.root_slot_of_leaf(leaf.index);
-        let (done, wlat_gate) = match self.cfg.scheme {
-            SchemeKind::Baseline => {
-                // No integrity tree and no consistency requirement on
-                // counters: the block stays dirty in the metadata cache
-                // and reaches NVM on eviction.
-                (e_data.accepted, e_data.accepted)
+        let branch = geom.stored_levels() as u64 + 1;
+        let t_chain = match spec.tree_update {
+            TreeUpdate::ParentFirst => self.ensure_parent_updated(leaf, leaf_dummy, data_issue)?,
+            TreeUpdate::BranchFirst => self.ensure_branch_updated(leaf, leaf_dummy, data_issue)?,
+            _ => data_issue,
+        };
+        // The SIT leaf MAC is keyed by the leaf's own dummy counter.
+        let leaf_mac = self
+            .cfg
+            .scheme
+            .has_sit()
+            .then(|| self.ctx.leaf_mac(leaf, &block, leaf_dummy));
+        let t_hash = match spec.hashes {
+            HashSchedule::None => t_chain,
+            HashSchedule::LeafPair => self.hash.parallel_latency(t_chain, 2),
+            HashSchedule::LeafPairThenParent => {
+                // Lazy: the parent's counter changed, so its HMAC is
+                // recomputed serially behind the leaf MAC (SCUE's "lazy
+                // computing", §IV-A1, removes exactly this step).
+                let t = self.hash.parallel_latency(t_chain, 2);
+                self.hash.parallel_latency(t, 1)
             }
-            SchemeKind::Lazy => {
-                // Parent chain on the critical path, then leaf MAC + data
-                // MAC hashes, then — because the parent's counter changed —
-                // the parent's own HMAC recompute, serialized behind the
-                // leaf MAC. (SCUE's "lazy computing", §IV-A1, is exactly
-                // the removal of this serial step.)
-                let t_chain = self.ensure_parent_updated(leaf, leaf_dummy, now.max(t_meta))?;
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(t_chain, 2);
-                let t_parent = self.hash.parallel_latency(t_hash, 1);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                let d = e_data.accepted.max(t_parent);
-                (d, d)
+            // Stored levels - 1 intermediates + leaf MAC + data MAC.
+            HashSchedule::Branch => self.hash.parallel_latency(t_chain, branch),
+            HashSchedule::SerialBranch => {
+                let mut t = self.hash.parallel_latency(t_chain, 2);
+                for _ in 1..geom.stored_levels() {
+                    t = self.hash.parallel_latency(t, 1);
+                }
+                t
             }
-            SchemeKind::Eager => {
-                // Whole branch on the critical path (cached copies).
-                let t_chain = self.ensure_branch_updated(leaf, leaf_dummy, now.max(t_meta))?;
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                // Branch HMACs recomputed in parallel: stored levels - 1
-                // intermediates + leaf MAC + data MAC.
-                let branch = geom.stored_levels() as u64 + 1;
-                let t_hash = self.hash.parallel_latency(t_chain, branch);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                // The root update lands when propagation finishes — the
-                // crash window (§III-B).
-                self.pending_root.push(PendingRoot {
-                    done: t_hash,
-                    slot: root_slot,
-                    delta,
-                });
-                let d = e_data.accepted.max(t_hash);
-                (d, d)
-            }
-            SchemeKind::Plp => {
-                // PLP on SIT reads (if uncached), updates, and persists
-                // shadow copies of *every* branch node per persist (§V-A)
-                // — the ~7× metadata traffic of §V-E, on the critical
-                // path. Consecutive persists down the same branch coalesce
-                // in the WPQ, which is what PLP's pipelining exploits.
-                let t_chain = self.ensure_branch_updated(leaf, leaf_dummy, now.max(t_meta))?;
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let branch = geom.stored_levels() as u64 + 1;
-                let t_hash = self.hash.parallel_latency(t_chain, branch);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                let shadows = self.persist_branch_shadows(leaf, t_hash);
-                // Root recoverable from the persisted branch: no window.
-                self.running_root.add(root_slot, delta);
-                let d = e_data.accepted.max(t_hash).max(shadows);
-                (d, d)
-            }
-            SchemeKind::BmfIdeal => {
-                // Leaf MAC into the persistent root (nvMC): hash of the
-                // final leaf content, then an NV-register write, both on
-                // the critical path; no levels above L1 exist.
-                let t_macs = self.hash.parallel_latency(now.max(t_meta), 2);
-                let leaf_line = block.to_line();
+        };
+        let mut ack = e_data.accepted.max(t_hash);
+        if self.cfg.scheme.is_secure() {
+            // Secure schemes write the leaf through with its data line.
+            let leaf_line = block.to_line();
+            if spec.root == RootPolicy::Nvmc {
+                // The persistent root IS the MAC of the final leaf
+                // content, so the persist gates on the hash plus the
+                // NV-register write.
                 let parent_mac = bmt_child_hmac(self.ctx.key(), leaf_addr.raw(), &leaf_line);
                 self.nvmc.insert(leaf.index, parent_mac);
-                // The persistent root IS the MAC, so its durability —
-                // and hence the persist — gates on the hash + NV write.
-                let t_nvmc = t_macs + NVMC_WRITE_CYCLES;
-                self.mc
-                    .write_coalesced(leaf_addr, leaf_line, AccessKind::Metadata);
-                let d = e_data.accepted.max(t_nvmc);
-                (d, d)
+                ack = ack.max(t_hash + NVMC_WRITE_CYCLES);
             }
-            SchemeKind::Scue => {
-                // Shortcut update: dummy counter from the leaf itself, one
-                // parallel hash batch (leaf MAC + data MAC), instantaneous
-                // Recovery_root bump. No reads, no intermediate nodes.
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(now.max(t_meta), 2);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                self.recovery_root.add(root_slot, delta);
-                // The persist is complete once the Recovery_root is
-                // bumped (instant) and the leaf line + MAC are durable —
-                // the single leaf-MAC hash is SCUE's whole write-path
-                // cost (Fig. 9's 1.12×).
-                let program_done = e_data.accepted.max(t_hash);
-                let wlat_gate = program_done;
+            self.mc
+                .write_coalesced(leaf_addr, leaf_line, AccessKind::Metadata);
+        }
+        if let Some(mac) = leaf_mac {
+            self.sideband.set(leaf_addr, mac);
+        }
+        if spec.persist_shadows {
+            // PLP/Phoenix: shadow copies of every branch node (§V-A), the
+            // ~7x metadata traffic of §V-E, on the critical path.
+            ack = ack.max(self.persist_branch_shadows(leaf, t_hash));
+        }
+        match spec.root {
+            RootPolicy::RunningRootAdd => self.running_root.add(root_slot, delta),
+            RootPolicy::RecoveryRootAdd => self.recovery_root.add(root_slot, delta),
+            _ => {}
+        }
+        let t_propagated = match spec.tree_update {
+            TreeUpdate::ParentAfterAck => {
                 // Off the critical path: fetch + update the parent chain
                 // with the dummy counter (§IV-A2).
-                self.ensure_parent_updated(leaf, leaf_dummy, wlat_gate)?;
-                (program_done, wlat_gate)
+                self.ensure_parent_updated(leaf, leaf_dummy, ack)?;
+                t_hash
             }
-            SchemeKind::Phoenix => {
-                // Phoenix: persistently-secure tree of counters. The whole
-                // branch is updated, every node's HMAC recomputed
-                // *serially bottom-up* (each parent MAC depends on the
-                // child's fresh content), and each updated node persisted
-                // before the write acknowledges — the durable tree is
-                // always self-consistent, at the steepest write cost in
-                // the zoo.
-                let t_chain = self.ensure_branch_updated(leaf, leaf_dummy, now.max(t_meta))?;
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let mut t_hash = self.hash.parallel_latency(t_chain, 2);
-                for _ in 1..geom.stored_levels() {
-                    t_hash = self.hash.parallel_latency(t_hash, 1);
-                }
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                let shadows = self.persist_branch_shadows(leaf, t_hash);
-                // Root recoverable from the persisted tree: no window.
-                self.running_root.add(root_slot, delta);
-                let d = e_data.accepted.max(t_hash).max(shadows);
-                (d, d)
-            }
-            SchemeKind::TriadL1 => {
-                // Triad-NVM level 1: only the counter block persists with
-                // the data; the branch update happens off the acceptance
-                // path (upper levels are rebuilt at recovery, so their
-                // persistence never gates the ack) and the root moves only
-                // on top-level flushes — permanently stale.
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(now.max(t_meta), 2);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                let program_done = e_data.accepted.max(t_hash);
-                self.ensure_parent_updated(leaf, leaf_dummy, program_done)?;
-                (program_done, program_done)
-            }
-            SchemeKind::TriadL2 => {
-                // Triad-NVM level 2: the L1 parent is updated, its HMAC
-                // recomputed, and the node persisted write-through inside
-                // the ack; levels above L1 stay volatile and the root
-                // stays stale until a top-level flush.
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(now.max(t_meta), 2);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
+            TreeUpdate::PersistParent => {
                 let t_parent = self.ensure_parent_updated(leaf, leaf_dummy, t_hash)?;
                 let t_pmac = self.hash.parallel_latency(t_parent.max(t_hash), 1);
                 let persisted = self.persist_parent_node(leaf, t_pmac);
-                let d = e_data.accepted.max(t_pmac).max(persisted);
-                (d, d)
+                ack = ack.max(t_pmac).max(persisted);
+                t_hash
             }
-            SchemeKind::Zuo => {
-                // Zuo-style cacheline-level counter/data co-persistence:
-                // the counter-block write rides the same atomic persist
-                // as the data line, so the ack gates only on the leaf MAC
-                // pair. Branch counters update off the acceptance path and
-                // the root delta lands when that propagation's hashes
-                // settle — an Eager-shaped §III-B window.
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(now.max(t_meta), 2);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
+            TreeUpdate::BranchAfterAck => {
                 let t_chain = self.ensure_branch_updated(leaf, leaf_dummy, t_hash)?;
-                let branch = geom.stored_levels() as u64 + 1;
-                let t_prop = self.hash.parallel_latency(t_chain, branch);
-                self.pending_root.push(PendingRoot {
-                    done: t_prop,
-                    slot: root_slot,
-                    delta,
-                });
-                let d = e_data.accepted.max(t_hash);
-                (d, d)
+                self.hash.parallel_latency(t_chain, branch)
             }
-            SchemeKind::Freij => {
-                // Freij-style coalesced tree updates: branch updates merge
-                // in the cache/WPQ pipeline (one parallel hash batch, no
-                // shadow persists) and the root delta folds in
-                // synchronously at acceptance — no §III-B window, without
-                // PLP's metadata-traffic cost.
-                let t_chain = self.ensure_branch_updated(leaf, leaf_dummy, now.max(t_meta))?;
-                let mac = self.ctx.leaf_mac(leaf, &block, leaf_dummy);
-                let t_hash = self.hash.parallel_latency(t_chain, 2);
-                self.mc
-                    .write_coalesced(leaf_addr, block.to_line(), AccessKind::Metadata);
-                self.sideband.set(leaf_addr, mac);
-                self.running_root.add(root_slot, delta);
-                let d = e_data.accepted.max(t_hash);
-                (d, d)
-            }
+            _ => t_hash,
         };
+        if spec.root == RootPolicy::DeferredQueue {
+            // The root update lands when propagation finishes: the crash
+            // window (§III-B).
+            self.pending_root.push(PendingRoot {
+                done: t_propagated,
+                slot: root_slot,
+                delta,
+            });
+        }
 
         // Refresh the cached copy. Secure schemes just wrote the leaf
         // through, so their copy is clean; Baseline holds it dirty until
@@ -1190,44 +1089,38 @@ impl SecureMemory {
             .mdcache
             .insert(leaf_addr, MetaEntry::Leaf(block), leaf_dirty);
         self.buffer_victim(victim, now);
-        // Drain displaced metadata. Lazy/Eager/PLP must finish the flush
+        // Drain displaced metadata. Some schemes must finish the flush
         // work (hashes + parent write-throughs) before the write
         // completes; SCUE's dummy counter keeps it off the critical path.
         let ev_done = self.drain_victims(now);
-        let (done, wlat_gate) = match self.cfg.scheme {
-            SchemeKind::Lazy
-            | SchemeKind::Eager
-            | SchemeKind::Plp
-            | SchemeKind::Phoenix
-            | SchemeKind::Zuo
-            | SchemeKind::Freij => (done.max(ev_done), wlat_gate.max(ev_done)),
-            _ => (done, wlat_gate),
-        };
+        if spec.drain_gates_ack {
+            ack = ack.max(ev_done);
+        }
 
         self.stats.persists += 1;
         // Fig. 9's metric: the write-path latency the scheme is
         // responsible for — metadata fetches, verification chains, hashes
         // and shadow persists — on top of the common service floor, with
         // the shared user-WPQ queue wait factored out (see the
-        // BASELINE_WRITE_SERVICE note). `done` itself is the
+        // BASELINE_WRITE_SERVICE note). `ack` itself is the
         // program-visible persist point that fences wait on.
         let queue_wait = e_data.accepted.saturating_sub(data_issue);
-        let latency = (wlat_gate.saturating_sub(data_issue)).saturating_sub(queue_wait)
-            + BASELINE_WRITE_SERVICE;
+        let latency =
+            (ack.saturating_sub(data_issue)).saturating_sub(queue_wait) + BASELINE_WRITE_SERVICE;
         self.stats.write_latency.record(latency);
         self.trace.record(
-            done,
+            ack,
             EventKind::PersistComplete {
                 addr: addr.raw(),
                 latency,
             },
         );
-        Ok(done)
+        Ok(ack)
     }
 
-    /// Lazy/SCUE parent update: ensure the leaf's parent is cached
-    /// (verified through its chain) and set its covering counter to the
-    /// leaf dummy. Returns the cycle the chain was ready.
+    /// Parent update (Lazy, SCUE, Triad): ensure the leaf's parent is
+    /// cached (verified through its chain) and set its covering counter
+    /// to the leaf dummy. Returns the cycle the chain was ready.
     fn ensure_parent_updated(
         &mut self,
         leaf: NodeId,
@@ -1249,9 +1142,9 @@ impl SecureMemory {
         }
     }
 
-    /// Eager/PLP branch update: ensure *every* ancestor is cached, then
-    /// cascade the dummy-counter updates to the top. Returns chain-ready
-    /// cycle.
+    /// Branch update (Eager, PLP, Phoenix, Zuo, Freij): ensure *every*
+    /// ancestor is cached, then cascade the dummy-counter updates to the
+    /// top. Returns chain-ready cycle.
     fn ensure_branch_updated(
         &mut self,
         leaf: NodeId,
@@ -1277,9 +1170,9 @@ impl SecureMemory {
         Ok(t)
     }
 
-    /// PLP: persist shadow copies of every branch node; returns the last
-    /// acceptance cycle (the metadata WPQ is only 10 deep, so this backs
-    /// up fast — the 2.74× of Fig. 9).
+    /// PLP/Phoenix: persist shadow copies of every branch node; returns
+    /// the last acceptance cycle (the metadata WPQ is only 10 deep, so
+    /// this backs up fast — the 2.74× of Fig. 9).
     fn persist_branch_shadows(&mut self, leaf: NodeId, now: Cycle) -> Cycle {
         let (chain, _) = self.ctx.geometry().ancestors(leaf);
         let mut done = now;
@@ -1329,10 +1222,6 @@ impl SecureMemory {
                 continue; // being overwritten with fresh data anyway
             }
             let line_addr = LineAddr::new(first_line + slot as u64);
-            if self.sideband.get(line_addr) == 0 && !self.cfg.scheme.is_secure() {
-                // Heuristic only works when MACs exist; for Baseline read
-                // unconditionally below.
-            }
             let (cipher, _) = self.mc.read(line_addr, now, AccessKind::UserData);
             if cipher == [0u8; 64] && self.sideband.get(line_addr) == 0 {
                 continue; // never written; nothing to re-encrypt
@@ -1528,8 +1417,7 @@ impl SecureMemory {
         let mut report = recovery::run(self);
         let repairable = matches!(report.outcome, RecoveryOutcome::LeafMacMismatch { .. })
             && self.cfg.counter_repair
-            && self.cfg.scheme.is_secure()
-            && self.cfg.scheme != SchemeKind::BmfIdeal;
+            && self.cfg.scheme.has_sit();
         if repairable {
             if let Ok(osiris) =
                 crate::osiris::recover_image(self, crate::osiris::DEFAULT_REPLAY_LIMIT)

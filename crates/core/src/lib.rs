@@ -3,18 +3,24 @@
 //!
 //! This crate is the reproduction of the paper's contribution (HPCA 2023,
 //! Huang & Hua): a secure-memory engine that keeps a 16 GB PCM region
-//! encrypted (counter-mode) and integrity-protected (SIT), with six
+//! encrypted (counter-mode) and integrity-protected (SIT), with eleven
 //! interchangeable *update schemes* deciding how tree modifications
-//! propagate to the on-chip root:
+//! propagate to the on-chip root. Each is one row of plain data, a
+//! [`SchemeSpec`] (see [`SchemeKind::spec`]):
 //!
 //! | Scheme | Root crash-consistent? | Critical-path cost per persist |
 //! |---|---|---|
 //! | [`SchemeKind::Baseline`] | n/a (no tree) | encryption only |
-//! | [`SchemeKind::Lazy`] | no | parent-chain reads + leaf MAC |
+//! | [`SchemeKind::Lazy`] | no | parent-chain reads + leaf MAC + serial parent MAC |
 //! | [`SchemeKind::Eager`] | only outside the crash window | chain reads + branch hashes |
 //! | [`SchemeKind::Plp`] | yes | eager + branch persists |
 //! | [`SchemeKind::BmfIdeal`] | yes (256 MB nvMC) | leaf + parent MAC hashes |
 //! | [`SchemeKind::Scue`] | **yes (128 B registers)** | one leaf MAC via dummy counter |
+//! | [`SchemeKind::Phoenix`] | yes | chain reads + serial branch hashes + branch persists |
+//! | [`SchemeKind::TriadL1`] | no | leaf MAC; parent updated after the ack |
+//! | [`SchemeKind::TriadL2`] | no | leaf MAC + L1 parent MAC and write-through |
+//! | [`SchemeKind::Zuo`] | no | leaf MAC; branch and root propagate after the ack |
+//! | [`SchemeKind::Freij`] | yes | chain reads + one coalesced hash batch |
 //!
 //! The two ideas from the paper:
 //!
@@ -60,7 +66,9 @@ pub mod overheads;
 pub mod recovery;
 pub mod stats;
 
-pub use config::{SchemeKind, SecureMemConfig};
+pub use config::{
+    HashSchedule, RootDiscipline, RootPolicy, SchemeKind, SchemeSpec, SecureMemConfig, TreeUpdate,
+};
 pub use durable::{CheckpointError, CheckpointReport, DurableMeta, DurableOpenError, MetaError};
 pub use engine::{CrashError, IntegrityError, SecureMemory};
 pub use recovery::{ConsistencyProbe, RecoveryOutcome, RecoveryPhases, RecoveryReport};

@@ -22,7 +22,7 @@
 //! lines present in the sparse NVM image, mirroring how STAR bitmaps or
 //! an Anubis shadow table bound the stale set (see [`crate::fastrec`]).
 
-use crate::config::SchemeKind;
+use crate::config::{RootDiscipline, RootPolicy, SchemeKind};
 use crate::engine::SecureMemory;
 use scue_crypto::hmac::bmt_child_hmac;
 use scue_itree::geometry::NodeId;
@@ -205,11 +205,11 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
         trusted_sum: 0,
         root_consistent: true,
     };
-    if scheme == SchemeKind::Baseline {
+    if !scheme.is_secure() {
         return out;
     }
 
-    if scheme == SchemeKind::BmfIdeal {
+    if scheme.root_discipline() == RootDiscipline::PerLeaf {
         // Flat per-leaf check against the nvMC registers, mirroring
         // `recover_bmf` without the early return.
         let key = *ctx.key();
@@ -278,10 +278,7 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
     for (&idx, &dummy) in &current {
         rebuilt_root.add((idx % 8) as usize, dummy);
     }
-    let trusted: &RootRegister = match scheme {
-        SchemeKind::Scue => recovery_root,
-        _ => running_root,
-    };
+    let trusted = trusted_root(scheme, running_root, recovery_root);
     out.rebuilt_sum = rebuilt_root.counters().iter().sum();
     out.trusted_sum = trusted.counters().iter().sum();
     out.root_consistent = rebuilt_root == *trusted;
@@ -291,23 +288,29 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
 /// Runs recovery on a crashed machine. Called via
 /// [`SecureMemory::recover`].
 pub(crate) fn run(mem: &mut SecureMemory) -> RecoveryReport {
-    match mem.scheme() {
-        SchemeKind::Baseline => {
+    match mem.scheme().root_discipline() {
+        RootDiscipline::Unverified => {
             RecoveryReport::new(RecoveryOutcome::Unverified, 0, RecoveryPhases::default())
         }
-        SchemeKind::BmfIdeal => recover_bmf(mem),
-        // Every SIT-shaped scheme — the paper's four plus the zoo —
-        // reconstructs by counter summing; only the trusted root register
-        // differs (Recovery_root for SCUE, the running root elsewhere).
-        SchemeKind::Lazy
-        | SchemeKind::Eager
-        | SchemeKind::Plp
-        | SchemeKind::Scue
-        | SchemeKind::Phoenix
-        | SchemeKind::TriadL1
-        | SchemeKind::TriadL2
-        | SchemeKind::Zuo
-        | SchemeKind::Freij => recover_counter_summing(mem),
+        RootDiscipline::PerLeaf => recover_bmf(mem),
+        // Every SIT-shaped scheme reconstructs by counter summing; only
+        // the trusted root register differs (see `trusted_root`).
+        RootDiscipline::Stale | RootDiscipline::Deferred | RootDiscipline::Atomic => {
+            recover_counter_summing(mem)
+        }
+    }
+}
+
+/// The register a counter-summing recovery trusts: SCUE's shortcut
+/// `Recovery_root`, or the running root everywhere else.
+fn trusted_root<'a>(
+    scheme: SchemeKind,
+    running_root: &'a RootRegister,
+    recovery_root: &'a RootRegister,
+) -> &'a RootRegister {
+    match scheme.spec().root {
+        RootPolicy::RecoveryRootAdd => recovery_root,
+        _ => running_root,
     }
 }
 
@@ -437,10 +440,7 @@ fn recover_counter_summing(mem: &mut SecureMemory) -> RecoveryReport {
     for (&idx, &dummy) in &current {
         rebuilt_root.add((idx % 8) as usize, dummy);
     }
-    let trusted: &RootRegister = match scheme {
-        SchemeKind::Scue => recovery_root,
-        _ => running_root,
-    };
+    let trusted = trusted_root(scheme, running_root, recovery_root);
     if rebuilt_root != *trusted {
         return RecoveryReport::new(RecoveryOutcome::RootMismatch, leaves_checked, phases);
     }

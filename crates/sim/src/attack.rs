@@ -29,9 +29,9 @@
 //! to a minimal `scheme:attack:ops:inject_at` spec and reported with a
 //! replay command, exactly like the torture campaign.
 
-use crate::torture::{op_at, parse_scheme_token, scheme_token};
+use crate::torture::op_at;
 use scue::attack as tamper;
-use scue::{RecoveryOutcome, SchemeKind, SecureMemConfig, SecureMemory};
+use scue::{RecoveryOutcome, RootDiscipline, SchemeKind, SecureMemConfig, SecureMemory};
 use scue_itree::geometry::{NodeId, Parent};
 use scue_nvm::{Cycle, LineAddr};
 use scue_util::obs::{Histogram, Json};
@@ -127,7 +127,7 @@ impl AttackSpec {
     pub fn replay_spec(&self, scheme: SchemeKind) -> String {
         format!(
             "{}:{}:{}:{}",
-            scheme_token(scheme),
+            scheme.token(),
             self.attack.name(),
             self.ops,
             self.inject_at
@@ -149,7 +149,7 @@ impl AttackSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = parse_scheme_token(scheme_str)
+        let scheme = SchemeKind::parse(scheme_str)
             .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let attack_str = field("attack")?;
         let attack = AttackKind::parse(attack_str)
@@ -368,7 +368,7 @@ pub fn run_attack_case(
     // Modelled — like a leaf whose parent is the attack-proof on-chip
     // root — as a no-op injection.
     let dummy_parent = match geom.parent(NodeId::new(0, target_leaf)) {
-        Parent::Node(p) if scheme != SchemeKind::BmfIdeal => Some(p),
+        Parent::Node(p) if scheme.root_discipline() != RootDiscipline::PerLeaf => Some(p),
         _ => None,
     };
     let affected: Vec<LineAddr> = match spec.attack {

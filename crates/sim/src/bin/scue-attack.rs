@@ -43,8 +43,9 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scue-attack [--seed N] [--points N] [--ops N] [--drive N] \
-         [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] [--json PATH] \
-         [--jobs N] [--replay scheme:attack:ops:inject_at]"
+         [--scheme {}] [--json PATH] \
+         [--jobs N] [--replay scheme:attack:ops:inject_at]",
+        SchemeKind::token_choices()
     );
     std::process::exit(2);
 }
@@ -77,20 +78,8 @@ fn parse_args_from(
             "--drive" => cfg.drive_ops = parsed("--drive", &value("--drive")?)?,
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = match v.as_str() {
-                    "baseline" => SchemeKind::Baseline,
-                    "lazy" => SchemeKind::Lazy,
-                    "eager" => SchemeKind::Eager,
-                    "plp" => SchemeKind::Plp,
-                    "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-                    "scue" => SchemeKind::Scue,
-                    "phoenix" => SchemeKind::Phoenix,
-                    "triad1" => SchemeKind::TriadL1,
-                    "triad2" => SchemeKind::TriadL2,
-                    "zuo" => SchemeKind::Zuo,
-                    "freij" => SchemeKind::Freij,
-                    _ => return Err(format!("invalid value for --scheme: `{v}`")),
-                };
+                let scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
             "--jobs" => {
@@ -300,6 +289,24 @@ mod tests {
     fn env_jobs_applies_and_flag_wins() {
         assert_eq!(parse(&[], Some("6")).unwrap().jobs, 6);
         assert_eq!(parse(&["--jobs", "2"], Some("6")).unwrap().jobs, 2);
+    }
+
+    #[test]
+    fn scheme_flag_takes_every_token_and_alias() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(
+                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
+                vec![scheme]
+            );
+        }
+        assert_eq!(
+            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
+            vec![SchemeKind::BmfIdeal]
+        );
+        assert_eq!(
+            parse(&["--scheme", "nope"], None).unwrap_err(),
+            "invalid value for --scheme: `nope`"
+        );
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! per-scheme `open_errors`/`fallbacks` bounded by the case count and a
 //! `total_fallbacks` cross-check. For `scue-mc` model-checker
 //! documents: per-scheme verdict tallies partitioning the crash cases,
-//! witness lists consistent with the witness cap, and truncation
-//! counters that agree with every `exhaustive` claim. For
+//! witness lists consistent with the witness cap, truncation counters
+//! that agree with every `exhaustive` claim, and — on an exhaustive
+//! search — witnesses on exactly the secure schemes that are not root
+//! crash-consistent. For `scue-attack` documents: an empty online
+//! detection-latency histogram on exactly the insecure schemes. For
 //! `scue-profile` documents: per-scheme span tables with coherent
 //! stats (`self_ns <= total_ns`), and — on the monotonic clock only,
 //! where durations are real nanoseconds — at least 90% of root wall
@@ -296,6 +299,7 @@ fn check_attack(doc: &Json) -> Result<(), String> {
             .get("scheme")
             .and_then(Json::as_str)
             .ok_or("scheme entry without a `scheme` name")?;
+        let kind = scheme_named(name)?;
         let cases = entry
             .get("cases")
             .and_then(Json::as_u64)
@@ -395,10 +399,6 @@ fn check_attack(doc: &Json) -> Result<(), String> {
         // Baseline has nothing to verify with: any detection is a
         // modelling bug, and with effective tampers it must show the
         // silent corruption the paper's Table I predicts.
-        let kind = SchemeKind::ALL
-            .into_iter()
-            .find(|s| s.to_string() == name)
-            .ok_or(format!("unknown scheme `{name}`"))?;
         let detections: u64 = AttackClass::ALL
             .iter()
             .zip(&outcomes)
@@ -417,6 +417,14 @@ fn check_attack(doc: &Json) -> Result<(), String> {
                     "{name}: effective tampers left no observable outcome"
                 ));
             }
+        }
+        // Every secure scheme catches some tamper online; an unprotected
+        // one never can.
+        if (latency_count == 0) == kind.is_secure() {
+            return Err(format!(
+                "{name}: detection_latency.count {latency_count}, but only an \
+                 insecure scheme may post an empty histogram"
+            ));
         }
         violation_sum += entry
             .get("oracle_violations")
@@ -451,6 +459,14 @@ fn check_attack(doc: &Json) -> Result<(), String> {
             .ok_or("violation entry without a usable `replay` command")?;
     }
     check_provenance(doc)
+}
+
+/// Resolves a document's `scheme` field (a display name).
+fn scheme_named(name: &str) -> Result<SchemeKind, String> {
+    SchemeKind::ALL
+        .into_iter()
+        .find(|s| s.name() == name)
+        .ok_or(format!("unknown scheme `{name}`"))
 }
 
 /// Validates a `scue-crashtest` real-process kill campaign document.
@@ -603,6 +619,7 @@ fn check_mc(doc: &Json) -> Result<(), String> {
             .get("scheme")
             .and_then(Json::as_str)
             .ok_or("scheme entry without a `scheme` name")?;
+        let kind = scheme_named(name)?;
         let int = |key: &str| {
             entry
                 .get(key)
@@ -654,6 +671,16 @@ fn check_mc(doc: &Json) -> Result<(), String> {
         if witnesses != inconsistent {
             return Err(format!(
                 "{name}: `witnesses` {witnesses} != inconsistent verdict count {inconsistent}"
+            ));
+        }
+        // A complete search finds a window exactly where the descriptor
+        // says one exists.
+        let window = kind.is_secure() && !kind.root_crash_consistent();
+        if exhaustive && (witnesses > 0) != window {
+            return Err(format!(
+                "{name}: {witnesses} witnesses from an exhaustive search, but the \
+                 scheme {} a crash window",
+                if window { "has" } else { "has no" }
             ));
         }
         let list = entry
@@ -1464,6 +1491,21 @@ mod tests {
     }
 
     #[test]
+    fn mc_witnesses_must_match_the_descriptor_windows() {
+        // The doc holds SCUE (no window, no witnesses) and Lazy (window,
+        // witnesses); relabelling either scheme must be caught.
+        for (from, to) in [("SCUE", "Eager"), ("Lazy", "PLP"), ("Lazy", "Baseline")] {
+            let rendered = mc_doc().render_doc().replacen(
+                &format!("\"scheme\":\"{from}\""),
+                &format!("\"scheme\":\"{to}\""),
+                1,
+            );
+            let err = check_mc(&Json::parse(&rendered).unwrap()).unwrap_err();
+            assert!(err.contains("exhaustive search"), "{from}->{to}: {err}");
+        }
+    }
+
+    #[test]
     fn mc_witness_entries_must_be_well_formed() {
         let doc = mc_doc();
         // A replay spec without a reproduction verdict is malformed.
@@ -1531,6 +1573,25 @@ mod tests {
         );
         let err = check_attack(&Json::parse(&rendered).unwrap()).unwrap_err();
         assert!(err.contains("detection_latency.count"), "{err}");
+    }
+
+    #[test]
+    fn empty_latency_histograms_must_match_insecure_schemes() {
+        let relabel = |from: &str, to: &str| {
+            let rendered = attack_doc().render_doc().replacen(
+                &format!("\"scheme\":\"{from}\""),
+                &format!("\"scheme\":\"{to}\""),
+                1,
+            );
+            check_attack(&Json::parse(&rendered).unwrap())
+        };
+        // Baseline's empty histogram under a secure scheme's name.
+        let err = relabel("Baseline", "Lazy").unwrap_err();
+        assert!(err.contains("empty histogram"), "{err}");
+        // SCUE's detections under an unprotected scheme's name.
+        assert!(relabel("SCUE", "Baseline").is_err());
+        let err = relabel("SCUE", "Mercury").unwrap_err();
+        assert!(err.contains("unknown scheme"), "{err}");
     }
 
     /// A minimal, internally consistent attack doc with one Baseline

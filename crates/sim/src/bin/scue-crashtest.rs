@@ -34,8 +34,9 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scue-crashtest [--seed N] [--kills N] [--epochs N] \
-         [--ops-per-epoch N] [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] \
-         [--dir PATH] [--json PATH] [--jobs N]"
+         [--ops-per-epoch N] [--scheme {}] \
+         [--dir PATH] [--json PATH] [--jobs N]",
+        SchemeKind::token_choices()
     );
     std::process::exit(2);
 }
@@ -75,7 +76,7 @@ fn parse_args_from(
             }
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = crashtest::parse_scheme(&v)
+                let scheme = SchemeKind::parse(&v)
                     .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
@@ -114,7 +115,7 @@ fn parse_child_args(args: &[String]) -> Result<(SchemeKind, u64, usize, usize, &
             .map_err(|_| format!("invalid --child {name}: `{v}`"))
     }
     let scheme_token = arg(0, "SCHEME")?;
-    let scheme = crashtest::parse_scheme(scheme_token)
+    let scheme = SchemeKind::parse(scheme_token)
         .ok_or_else(|| format!("invalid --child SCHEME: `{scheme_token}`"))?;
     let seed = num("SEED", arg(1, "SEED")?)?;
     let epochs = num("EPOCHS", arg(2, "EPOCHS")?)?;
@@ -300,6 +301,24 @@ mod tests {
                 "{err:?} must show `{value}`"
             );
         }
+    }
+
+    #[test]
+    fn scheme_flag_takes_every_token_and_alias() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(
+                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
+                vec![scheme]
+            );
+        }
+        assert_eq!(
+            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
+            vec![SchemeKind::BmfIdeal]
+        );
+        assert_eq!(
+            parse(&["--scheme", "nope"], None).unwrap_err(),
+            "invalid value for --scheme: `nope`"
+        );
     }
 
     #[test]

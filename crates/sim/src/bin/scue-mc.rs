@@ -38,8 +38,9 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scue-mc [--blocks 2|3] [--ops N(1..=4)] [--seed N] \
-         [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] [--max-states N] \
-         [--max-depth N] [--no-replay] [--jobs N] [--json PATH]"
+         [--scheme {}] [--max-states N] \
+         [--max-depth N] [--no-replay] [--jobs N] [--json PATH]",
+        SchemeKind::token_choices()
     );
     std::process::exit(2);
 }
@@ -95,20 +96,8 @@ fn parse_args_from(
             "--no-replay" => replay = false,
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = match v.as_str() {
-                    "baseline" => SchemeKind::Baseline,
-                    "lazy" => SchemeKind::Lazy,
-                    "eager" => SchemeKind::Eager,
-                    "plp" => SchemeKind::Plp,
-                    "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-                    "scue" => SchemeKind::Scue,
-                    "phoenix" => SchemeKind::Phoenix,
-                    "triad1" => SchemeKind::TriadL1,
-                    "triad2" => SchemeKind::TriadL2,
-                    "zuo" => SchemeKind::Zuo,
-                    "freij" => SchemeKind::Freij,
-                    _ => return Err(format!("invalid value for --scheme: `{v}`")),
-                };
+                let scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
             "--jobs" => {
@@ -297,6 +286,24 @@ mod tests {
         assert!(!args.cfg.replay);
         assert_eq!(args.cfg.search.jobs, 4);
         assert_eq!(args.json_path.as_deref(), Some("out.json"));
+    }
+
+    #[test]
+    fn scheme_flag_takes_every_token_and_alias() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(
+                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
+                vec![scheme]
+            );
+        }
+        assert_eq!(
+            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
+            vec![SchemeKind::BmfIdeal]
+        );
+        assert_eq!(
+            parse(&["--scheme", "nope"], None).unwrap_err(),
+            "invalid value for --scheme: `nope`"
+        );
     }
 
     #[test]

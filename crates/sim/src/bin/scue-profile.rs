@@ -40,29 +40,14 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: scue-profile [--scheme baseline|lazy|eager|plp|bmf|scue");
-    eprintln!("                      |phoenix|triad1|triad2|zuo|freij]...");
+    eprintln!(
+        "usage: scue-profile [--scheme {}]...",
+        SchemeKind::token_choices()
+    );
     eprintln!("                    [--ops N] [--seed N] [--jobs N]");
     eprintln!("                    [--clock virtual|monotonic] [--top N]");
     eprintln!("                    [--json PATH] [--chrome-trace PATH]");
     std::process::exit(2);
-}
-
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "lazy" => SchemeKind::Lazy,
-        "eager" => SchemeKind::Eager,
-        "plp" => SchemeKind::Plp,
-        "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-        "scue" => SchemeKind::Scue,
-        "phoenix" => SchemeKind::Phoenix,
-        "triad1" => SchemeKind::TriadL1,
-        "triad2" => SchemeKind::TriadL2,
-        "zuo" => SchemeKind::Zuo,
-        "freij" => SchemeKind::Freij,
-        _ => return None,
-    })
 }
 
 fn parse_args() -> Args {
@@ -89,7 +74,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--scheme" => {
                 let v = value("--scheme");
-                let scheme = parse_scheme(&v)
+                let scheme = SchemeKind::parse(&v)
                     .unwrap_or_else(|| fail(format!("invalid value for --scheme: `{v}`")));
                 args.schemes.push(scheme);
             }

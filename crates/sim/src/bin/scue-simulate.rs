@@ -43,8 +43,10 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: scue-simulate [--scheme baseline|lazy|eager|plp|bmf|scue");
-    eprintln!("                       |phoenix|triad1|triad2|zuo|freij]");
+    eprintln!(
+        "usage: scue-simulate [--scheme {}]",
+        SchemeKind::token_choices()
+    );
     eprintln!("                     [--workload array|btree|hash|queue|rbtree|lbm|mcf|");
     eprintln!("                      libquantum|omnetpp|milc|soplex|gcc|bwaves]");
     eprintln!("                     [--ops N] [--seed N] [--hash-latency 20|40|80|160]");
@@ -52,23 +54,6 @@ fn usage() -> ! {
     eprintln!("                     [--metrics-json PATH] [--trace-events PATH]");
     eprintln!("                     [--sample-interval CYCLES]");
     std::process::exit(2);
-}
-
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "lazy" => SchemeKind::Lazy,
-        "eager" => SchemeKind::Eager,
-        "plp" => SchemeKind::Plp,
-        "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-        "scue" => SchemeKind::Scue,
-        "phoenix" => SchemeKind::Phoenix,
-        "triad1" => SchemeKind::TriadL1,
-        "triad2" => SchemeKind::TriadL2,
-        "zuo" => SchemeKind::Zuo,
-        "freij" => SchemeKind::Freij,
-        _ => return None,
-    })
 }
 
 fn parse_workload(s: &str) -> Option<Workload> {
@@ -105,8 +90,8 @@ fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String>
         match flag.as_str() {
             "--scheme" => {
                 let v = value("--scheme")?;
-                args.scheme =
-                    parse_scheme(&v).ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
+                args.scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
             }
             "--workload" => {
                 let v = value("--workload")?;
@@ -374,6 +359,21 @@ mod tests {
     #[test]
     fn jobs_defaults_to_unset_so_env_and_parallelism_apply() {
         assert_eq!(parse(&[]).unwrap().jobs, None);
+    }
+
+    #[test]
+    fn scheme_flag_takes_every_token_and_alias() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(parse(&["--scheme", scheme.token()]).unwrap().scheme, scheme);
+        }
+        assert_eq!(
+            parse(&["--scheme", "bmf-ideal"]).unwrap().scheme,
+            SchemeKind::BmfIdeal
+        );
+        assert_eq!(
+            parse(&["--scheme", "nope"]).unwrap_err(),
+            "invalid value for --scheme: `nope`"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Crash-point torture campaign runner.
 //!
 //! Samples crash cycles (uniform + persistence-boundary-biased) across
-//! all six schemes, injects media faults at the crash point, and holds
+//! all eleven schemes, injects media faults at the crash point, and holds
 //! each scheme to the differential recovery oracle. Oracle violations
 //! are shrunk to a minimal `(ops, crash_at, fault)` triple and printed
 //! with a replay command.
@@ -41,9 +41,10 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scue-torture [--seed N] [--points N] [--ops N] [--eadr] \
-         [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] [--json PATH] \
+         [--scheme {}] [--json PATH] \
          [--strict-baseline] [--strict-windows] [--jobs N] \
-         [--replay scheme:ops:crash_at:fault]"
+         [--replay scheme:ops:crash_at:fault]",
+        SchemeKind::token_choices()
     );
     std::process::exit(2);
 }
@@ -78,20 +79,8 @@ fn parse_args_from(
             "--strict-windows" => cfg.strict_windows = true,
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = match v.as_str() {
-                    "baseline" => SchemeKind::Baseline,
-                    "lazy" => SchemeKind::Lazy,
-                    "eager" => SchemeKind::Eager,
-                    "plp" => SchemeKind::Plp,
-                    "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-                    "scue" => SchemeKind::Scue,
-                    "phoenix" => SchemeKind::Phoenix,
-                    "triad1" => SchemeKind::TriadL1,
-                    "triad2" => SchemeKind::TriadL2,
-                    "zuo" => SchemeKind::Zuo,
-                    "freij" => SchemeKind::Freij,
-                    _ => return Err(format!("invalid value for --scheme: `{v}`")),
-                };
+                let scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
             "--jobs" => {
@@ -313,6 +302,24 @@ mod tests {
             let err2 = parse(&["--jobs", "3"], Some(bad)).unwrap_err();
             assert_eq!(err, err2);
         }
+    }
+
+    #[test]
+    fn scheme_flag_takes_every_token_and_alias() {
+        for scheme in SchemeKind::ALL {
+            assert_eq!(
+                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
+                vec![scheme]
+            );
+        }
+        assert_eq!(
+            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
+            vec![SchemeKind::BmfIdeal]
+        );
+        assert_eq!(
+            parse(&["--scheme", "nope"], None).unwrap_err(),
+            "invalid value for --scheme: `nope`"
+        );
     }
 
     #[test]

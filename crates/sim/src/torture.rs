@@ -122,7 +122,7 @@ impl CaseSpec {
     pub fn replay_spec(&self, scheme: SchemeKind) -> String {
         format!(
             "{}:{}:{}:{}",
-            scheme_token(scheme),
+            scheme.token(),
             self.ops,
             self.crash_at,
             self.fault.name()
@@ -144,7 +144,7 @@ impl CaseSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = parse_scheme_token(scheme_str)
+        let scheme = SchemeKind::parse(scheme_str)
             .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let ops_str = field("ops")?;
         let ops = ops_str
@@ -169,26 +169,6 @@ impl CaseSpec {
             },
         ))
     }
-}
-
-pub(crate) fn scheme_token(scheme: SchemeKind) -> &'static str {
-    match scheme {
-        SchemeKind::Baseline => "baseline",
-        SchemeKind::Lazy => "lazy",
-        SchemeKind::Eager => "eager",
-        SchemeKind::Plp => "plp",
-        SchemeKind::BmfIdeal => "bmf",
-        SchemeKind::Scue => "scue",
-        SchemeKind::Phoenix => "phoenix",
-        SchemeKind::TriadL1 => "triad1",
-        SchemeKind::TriadL2 => "triad2",
-        SchemeKind::Zuo => "zuo",
-        SchemeKind::Freij => "freij",
-    }
-}
-
-pub(crate) fn parse_scheme_token(s: &str) -> Option<SchemeKind> {
-    SchemeKind::ALL.into_iter().find(|&k| scheme_token(k) == s)
 }
 
 /// How one case ended, after crash → recover → audit → resume.

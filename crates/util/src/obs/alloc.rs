@@ -40,8 +40,10 @@ static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FREES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES_FREED: AtomicU64 = AtomicU64::new(0);
-/// Live bytes; signed because frees of pre-enable blocks can outrun
-/// counted allocations.
+/// Live counted bytes, saturating at zero: frees of blocks allocated
+/// before counting was enabled (possibly on other threads) can outrun
+/// counted allocations, and must not mask a new block's share of the
+/// peak.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
@@ -99,7 +101,9 @@ fn note_free(size: usize) {
     }
     TOTAL_FREES.fetch_add(1, Ordering::Relaxed);
     TOTAL_BYTES_FREED.fetch_add(size as u64, Ordering::Relaxed);
-    LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
+    let _ = LIVE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+        Some((live - size as i64).max(0))
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -227,28 +231,34 @@ impl Drop for PauseGuard {
 mod tests {
     use super::*;
 
-    /// Serialises tests that toggle the process-wide switch (other
-    /// threads' allocations may bleed into process counters, so tests
-    /// assert only on thread-local attribution and relative growth).
-    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+    /// Runs `f` with the process-wide switch set to `on`, holding the
+    /// gate every test that touches the switch takes, so no test can
+    /// flip it under another (other threads' allocations may bleed into
+    /// process counters, so tests assert only on thread-local
+    /// attribution and relative growth).
+    fn with_switch<R>(on: bool, f: impl FnOnce() -> R) -> R {
         use std::sync::{Mutex, OnceLock};
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
         let _guard = GATE.get_or_init(|| Mutex::new(())).lock().unwrap();
         reset_thread_counts();
-        set_enabled(true);
+        set_enabled(on);
         let r = f();
         set_enabled(false);
         reset_thread_counts();
         r
     }
 
+    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+        with_switch(true, f)
+    }
+
     #[test]
     fn disabled_counts_nothing_on_thread() {
-        set_enabled(false);
-        reset_thread_counts();
-        let v = vec![0u8; 4096];
-        drop(v);
-        assert_eq!(thread_counts(), (0, 0));
+        with_switch(false, || {
+            let v = vec![0u8; 4096];
+            drop(v);
+            assert_eq!(thread_counts(), (0, 0));
+        });
     }
 
     #[test]

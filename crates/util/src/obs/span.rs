@@ -455,14 +455,15 @@ pub fn take_thread_events() -> Vec<SpanEvent> {
 mod tests {
     use super::*;
 
-    /// Serialises tests that toggle the process-wide switches.
-    fn with_spans<R>(f: impl FnOnce() -> R) -> R {
+    /// Runs `f` with spans switched `on` on the virtual clock, holding
+    /// the gate every test that touches the process-wide switches takes.
+    fn with_switch<R>(on: bool, f: impl FnOnce() -> R) -> R {
         use std::sync::{Mutex, OnceLock};
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
         let _guard = GATE.get_or_init(|| Mutex::new(())).lock().unwrap();
         reset_thread();
         set_clock(Clock::Virtual);
-        set_enabled(true);
+        set_enabled(on);
         let r = f();
         set_enabled(false);
         set_clock(Clock::Monotonic);
@@ -470,14 +471,18 @@ mod tests {
         r
     }
 
+    fn with_spans<R>(f: impl FnOnce() -> R) -> R {
+        with_switch(true, f)
+    }
+
     #[test]
     fn disabled_enter_is_inert() {
-        set_enabled(false);
-        reset_thread();
-        {
-            let _g = enter("never");
-        }
-        assert!(take_thread_profile().is_empty());
+        with_switch(false, || {
+            {
+                let _g = enter("never");
+            }
+            assert!(take_thread_profile().is_empty());
+        });
     }
 
     #[test]

@@ -17,6 +17,10 @@ cargo build --release --offline --all-targets
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> benchmark builds and self-tests (perfbench/, its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> metrics-export smoke (scue-simulate --metrics-json + scue-check-metrics)"
 metrics_tmp="$(mktemp -d)"
 trap 'rm -rf "$metrics_tmp"' EXIT
@@ -89,17 +93,14 @@ t5=$(date +%s%3N)
 cargo run --release --offline -q -p scue-sim --bin scue-mc -- \
     --blocks 2 --ops 3 --jobs 4 --json "$metrics_tmp/mc.json"
 t6=$(date +%s%3N)
+# check-metrics also holds an exhaustive search to the scheme
+# descriptor: witnesses on exactly the secure, non-root-crash-consistent
+# schemes.
 cargo run --release --offline -q -p scue-sim --bin scue-check-metrics -- \
     "$metrics_tmp/mc.json"
-# A truncated search proves nothing — the smoke scope must be
-# exhaustive, and witnesses must come from exactly the five window
-# schemes (six of the eleven schemes report zero).
+# A truncated search proves nothing — the smoke scope must be exhaustive.
 if grep -q '"exhaustive":false' "$metrics_tmp/mc.json"; then
     echo "ERROR: scue-mc smoke search was truncated" >&2
-    exit 1
-fi
-if [ "$(grep -o '"witnesses":0' "$metrics_tmp/mc.json" | wc -l)" -ne 6 ]; then
-    echo "ERROR: expected witnesses from exactly the five window schemes" >&2
     exit 1
 fi
 
@@ -133,14 +134,11 @@ t8=$(date +%s%3N)
 cargo run --release --offline -q -p scue-sim --bin scue-attack -- \
     --seed 1 --points 10 --jobs 4 --json "$metrics_tmp/attack.json"
 t9=$(date +%s%3N)
+# check-metrics also requires a nonempty online detection-latency
+# distribution on every secure scheme and an empty one on the insecure
+# ones (Baseline never detects).
 cargo run --release --offline -q -p scue-sim --bin scue-check-metrics -- \
     "$metrics_tmp/attack.json"
-# Every secure scheme must post a nonempty online detection-latency
-# distribution; Baseline (which never detects) is the only empty one.
-if [ "$(grep -o '"detection_latency":{"count":0' "$metrics_tmp/attack.json" | wc -l)" -ne 1 ]; then
-    echo "ERROR: expected an empty detection-latency histogram on Baseline only" >&2
-    exit 1
-fi
 
 echo "==> attack determinism: --jobs 1 vs --jobs 4 + committed artefact"
 cargo run --release --offline -q -p scue-sim --bin scue-attack -- \
