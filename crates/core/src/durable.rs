@@ -288,6 +288,16 @@ impl DurableMeta {
                 what: "tree geometry",
             });
         }
+        // The pairs come from the image file. Bound their keys before
+        // they reach the engine's fixed-hash maps: the sideband covers
+        // data and metadata lines, the nvMC one register per leaf.
+        let total_lines = cfg.geometry.total_lines();
+        if self.sideband.iter().any(|&(addr, _)| addr >= total_lines) {
+            return Err(MetaError::Corrupt("sideband address beyond the image").into());
+        }
+        if self.nvmc.iter().any(|&(leaf, _)| leaf >= self.leaf_count) {
+            return Err(MetaError::Corrupt("nvmc leaf index beyond the tree").into());
+        }
         Ok(())
     }
 }
@@ -333,6 +343,41 @@ mod tests {
         assert_eq!(
             sample().validate(&cfg),
             Err(DurableOpenError::ConfigMismatch { what: "key seed" })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_keys() {
+        let cfg = SecureMemConfig::small_test(SchemeKind::Scue);
+        let last_line = cfg.geometry.total_lines() - 1;
+        let last_leaf = cfg.geometry.leaf_count() - 1;
+        let crafted = |sideband: u64, nvmc: u64| {
+            let meta = DurableMeta::capture(
+                &cfg,
+                &[0; 8],
+                &[0; 8],
+                [(sideband, 1u64)].into_iter(),
+                [(nvmc, 1u64)].into_iter(),
+            );
+            // Through the file encoding, as an opened image would be.
+            DurableMeta::decode(&meta.encode()).unwrap().validate(&cfg)
+        };
+        assert_eq!(crafted(last_line, last_leaf), Ok(()));
+        assert_eq!(
+            crafted(last_line + 1, last_leaf),
+            Err(MetaError::Corrupt("sideband address beyond the image").into())
+        );
+        assert_eq!(
+            crafted(u64::MAX, 0),
+            Err(MetaError::Corrupt("sideband address beyond the image").into())
+        );
+        assert_eq!(
+            crafted(0, last_leaf + 1),
+            Err(MetaError::Corrupt("nvmc leaf index beyond the tree").into())
+        );
+        assert_eq!(
+            crafted(0, u64::MAX),
+            Err(MetaError::Corrupt("nvmc leaf index beyond the tree").into())
         );
     }
 

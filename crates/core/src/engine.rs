@@ -36,12 +36,12 @@ use scue_crypto::cme::{self, CounterBlock, IncrementOutcome};
 use scue_crypto::engine::HashEngine;
 use scue_crypto::hmac::{bmt_child_hmac, data_line_hmac};
 use scue_crypto::SecretKey;
-use scue_itree::geometry::{NodeId, Parent};
+use scue_itree::geometry::{NodeId, Parent, MAX_STORED_LEVELS};
 use scue_itree::{MacSideband, RootRegister, SitContext, SitNode};
 use scue_nvm::wpq::Enqueued;
 use scue_nvm::{AccessKind, Cycle, FaultPlan, FaultRecord, LineAddr, MemoryController};
+use scue_util::hash::FixedHashMap;
 use scue_util::obs::{span, EventKind, EventTrace};
-use std::collections::HashMap;
 
 /// One 64 B line of data.
 pub type Line = [u8; 64];
@@ -165,7 +165,7 @@ pub struct SecureMemory {
     recovery_root: RootRegister,
     /// BMF-ideal's persistent roots: leaf index → MAC of leaf content,
     /// held in the unlimited non-volatile metadata cache.
-    nvmc: HashMap<u64, u64>,
+    nvmc: FixedHashMap<u64, u64>,
     pending_root: Vec<PendingRoot>,
     /// Victim buffer: evicted *dirty* metadata parked until the end of
     /// the current operation. Fetches consult it before NVM, so an
@@ -207,7 +207,7 @@ impl SecureMemory {
             hash,
             running_root: RootRegister::new(),
             recovery_root: RootRegister::new(),
-            nvmc: HashMap::new(),
+            nvmc: FixedHashMap::default(),
             pending_root: Vec::new(),
             victims: Vec::new(),
             crashed: false,
@@ -457,18 +457,15 @@ impl SecureMemory {
 
     /// Applies root updates whose propagation completed by `now`.
     fn settle_pending(&mut self, now: Cycle) {
-        let mut applied = Vec::new();
+        let root = &mut self.running_root;
         self.pending_root.retain(|p| {
             if p.done <= now {
-                applied.push(*p);
+                root.add(p.slot, p.delta);
                 false
             } else {
                 true
             }
         });
-        for p in applied {
-            self.running_root.add(p.slot, p.delta);
-        }
     }
 
     /// Root updates still inside their crash window at `now`.
@@ -723,12 +720,13 @@ impl SecureMemory {
             self.buffer_victim(victim, now);
             return Ok(now);
         }
-        // Collect the missing suffix of the chain [node, parent, ...],
-        // stopping at a cached node or a victim-buffer hit (which gets
+        // The missing part of the chain [node, parent, ...] is a prefix:
+        // it stops at a cached node or a victim-buffer hit (which gets
         // reinstalled and becomes the trusted boundary).
-        let mut missing = vec![node];
         let (chain, _root_slot) = self.ctx.geometry().ancestors(node);
-        for anc in chain {
+        let path = |i: usize| if i == 0 { node } else { chain[i - 1] };
+        let mut missing = 1;
+        for &anc in chain.iter() {
             let aaddr = self.meta_addr(anc);
             if self.mdcache.contains(aaddr) {
                 break;
@@ -738,26 +736,27 @@ impl SecureMemory {
                 self.buffer_victim(victim, now);
                 break;
             }
-            missing.push(anc);
+            missing += 1;
         }
         // Read all missing nodes (parallel banks permitting).
         let mut t_read = now;
-        let mut decoded: Vec<(NodeId, SitNode)> = Vec::with_capacity(missing.len());
-        for &m in &missing {
-            let maddr = self.meta_addr(m);
+        let mut decoded = [SitNode::new(); MAX_STORED_LEVELS];
+        for (i, val) in decoded[..missing].iter_mut().enumerate() {
+            let maddr = self.meta_addr(path(i));
             self.trace
                 .record(now, EventKind::MdCacheMiss { addr: maddr.raw() });
             let (line, done) = self.mc.read(maddr, now, AccessKind::Metadata);
             t_read = t_read.max(done);
-            decoded.push((m, SitNode::from_line(&line)));
+            *val = SitNode::from_line(&line);
         }
+        let decoded = &decoded[..missing];
         // Verify top-down: the topmost missing node checks against its
         // cached parent or the running root; each lower node checks
         // against the freshly decoded node above it.
-        for i in (0..decoded.len()).rev() {
-            let (id, ref val) = decoded[i];
-            let parent_counter = if i + 1 < decoded.len() {
-                decoded[i + 1].1.counter(id.parent_slot())
+        for i in (0..missing).rev() {
+            let (id, val) = (path(i), &decoded[i]);
+            let parent_counter = if i + 1 < missing {
+                decoded[i + 1].counter(id.parent_slot())
             } else {
                 match self.ctx.geometry().parent(id) {
                     Parent::Root(slot) => self.effective_root_counter(slot),
@@ -787,12 +786,12 @@ impl SecureMemory {
         // are used speculatively and an exception fires on mismatch (the
         // standard secure-memory assumption; PLP/BMF model reads the same
         // way). The hash unit still counts the work.
-        let _ = self.hash.parallel_latency(t_read, decoded.len() as u64);
+        let _ = self.hash.parallel_latency(t_read, missing as u64);
         let t_verified = t_read;
         // Install top-down so lower verifications can see parents.
         // (Installs only park victims; nothing can interleave.)
-        for (id, val) in decoded.into_iter().rev() {
-            let addr = self.meta_addr(id);
+        for (i, &val) in decoded.iter().enumerate().rev() {
+            let addr = self.meta_addr(path(i));
             if self.mdcache.contains(addr) {
                 continue;
             }
@@ -946,10 +945,12 @@ impl SecureMemory {
         self.trace
             .record(now, EventKind::PersistBegin { addr: addr.raw() });
         self.settle_pending(now);
-        let geom = self.ctx.geometry().clone();
+        let geom = self.ctx.geometry();
         let leaf = geom.leaf_of_data(addr);
         let minor = geom.minor_slot_of_data(addr);
         let leaf_addr = self.meta_addr(leaf);
+        let root_slot = geom.root_slot_of_leaf(leaf.index);
+        let stored_levels = geom.stored_levels();
 
         // 1. Counter block on chip (needed for encryption in all schemes).
         // SCUE's shortcut write path performs no ancestor reads at all.
@@ -990,19 +991,22 @@ impl SecureMemory {
         // persist is program-visibly complete: what fences wait on and
         // what Fig. 9 measures.
         let leaf_dummy = self.ctx.leaf_dummy(&block);
-        let root_slot = geom.root_slot_of_leaf(leaf.index);
-        let branch = geom.stored_levels() as u64 + 1;
+        let branch = stored_levels as u64 + 1;
         let t_chain = match spec.tree_update {
             TreeUpdate::ParentFirst => self.ensure_parent_updated(leaf, leaf_dummy, data_issue)?,
             TreeUpdate::BranchFirst => self.ensure_branch_updated(leaf, leaf_dummy, data_issue)?,
             _ => data_issue,
         };
+        // Secure schemes write the leaf through, and SIT schemes MAC it:
+        // both take the same packed line, so the block encodes once.
+        let leaf_line = self.cfg.scheme.is_secure().then(|| block.to_line());
         // The SIT leaf MAC is keyed by the leaf's own dummy counter.
-        let leaf_mac = self
-            .cfg
-            .scheme
-            .has_sit()
-            .then(|| self.ctx.leaf_mac(leaf, &block, leaf_dummy));
+        let leaf_mac = match leaf_line {
+            Some(line) if self.cfg.scheme.has_sit() => {
+                Some(self.ctx.leaf_line_mac(leaf, &line, leaf_dummy))
+            }
+            _ => None,
+        };
         let t_hash = match spec.hashes {
             HashSchedule::None => t_chain,
             HashSchedule::LeafPair => self.hash.parallel_latency(t_chain, 2),
@@ -1017,16 +1021,15 @@ impl SecureMemory {
             HashSchedule::Branch => self.hash.parallel_latency(t_chain, branch),
             HashSchedule::SerialBranch => {
                 let mut t = self.hash.parallel_latency(t_chain, 2);
-                for _ in 1..geom.stored_levels() {
+                for _ in 1..stored_levels {
                     t = self.hash.parallel_latency(t, 1);
                 }
                 t
             }
         };
         let mut ack = e_data.accepted.max(t_hash);
-        if self.cfg.scheme.is_secure() {
+        if let Some(leaf_line) = leaf_line {
             // Secure schemes write the leaf through with its data line.
-            let leaf_line = block.to_line();
             if spec.root == RootPolicy::Nvmc {
                 // The persistent root IS the MAC of the final leaf
                 // content, so the persist gates on the hash plus the
@@ -1159,7 +1162,7 @@ impl SecureMemory {
         // Cascade: child dummy into parent, recompute parent dummy, up.
         let mut child = leaf;
         let mut dummy = leaf_dummy;
-        for &anc in &chain {
+        for &anc in chain.iter() {
             let slot = child.parent_slot();
             dummy = self.with_node_mut(anc, now, |n| {
                 n.set_counter(slot, dummy);
@@ -1176,7 +1179,7 @@ impl SecureMemory {
     fn persist_branch_shadows(&mut self, leaf: NodeId, now: Cycle) -> Cycle {
         let (chain, _) = self.ctx.geometry().ancestors(leaf);
         let mut done = now;
-        for anc in chain {
+        for &anc in chain.iter() {
             let addr = self.meta_addr(anc);
             let line = match self.mdcache.get(addr) {
                 Some(entry) => entry.to_line(),
@@ -1270,9 +1273,8 @@ impl SecureMemory {
             "{addr} is outside the protected data region"
         );
         self.settle_pending(now);
-        let geom = self.ctx.geometry().clone();
-        let leaf = geom.leaf_of_data(addr);
-        let minor = geom.minor_slot_of_data(addr);
+        let leaf = self.ctx.geometry().leaf_of_data(addr);
+        let minor = self.ctx.geometry().minor_slot_of_data(addr);
 
         // Ciphertext and counter block fetch in parallel (§II-B: OTP
         // generation overlaps the data read).
@@ -1470,7 +1472,7 @@ impl SecureMemory {
         &MacSideband,
         &RootRegister,
         &RootRegister,
-        &HashMap<u64, u64>,
+        &FixedHashMap<u64, u64>,
     ) {
         (
             &self.ctx,
@@ -1491,7 +1493,7 @@ impl SecureMemory {
         &MacSideband,
         &mut RootRegister,
         &mut RootRegister,
-        &HashMap<u64, u64>,
+        &FixedHashMap<u64, u64>,
     ) {
         (
             &self.ctx,
@@ -1537,6 +1539,37 @@ mod tests {
                 assert_eq!(data, line(i as u8 + 1), "{scheme}");
                 now = done;
             }
+        }
+    }
+
+    #[test]
+    fn warm_requests_make_no_heap_allocations() {
+        // Lines across several leaves, so the warm rounds also evict
+        // metadata and settle deferred root updates.
+        let addrs: Vec<LineAddr> = (0..48u64).map(|i| LineAddr::new(i * 67)).collect();
+        let round = |m: &mut SecureMemory, now: &mut Cycle, fill: u8| {
+            for &addr in &addrs {
+                *now = m.persist_data(addr, line(fill), *now).unwrap();
+            }
+            for &addr in &addrs {
+                let (data, done) = m.read_data(addr, *now).unwrap();
+                assert_eq!(data, line(fill));
+                *now = done;
+            }
+        };
+        for scheme in SchemeKind::ALL {
+            let mut m = mem(scheme);
+            let mut now = 0;
+            for fill in 1..=3 {
+                round(&mut m, &mut now, fill);
+            }
+            let allocs = scue_util::obs::alloc::with_switch(true, || {
+                for fill in 4..=6 {
+                    round(&mut m, &mut now, fill);
+                }
+                scue_util::obs::alloc::thread_counts().0
+            });
+            assert_eq!(allocs, 0, "{scheme}: heap allocations on warm requests");
         }
     }
 
@@ -1956,6 +1989,44 @@ mod tests {
             matches!(err, DurableOpenError::ConfigMismatch { what: "scheme" }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn durable_open_rejects_out_of_range_sideband_and_nvmc_keys() {
+        let cfg = SecureMemConfig::small_test(SchemeKind::BmfIdeal);
+        for (name, sideband, nvmc, what) in [
+            (
+                "bad-sideband.img",
+                cfg.geometry.total_lines(),
+                0,
+                "sideband address beyond the image",
+            ),
+            (
+                "bad-nvmc.img",
+                0,
+                cfg.geometry.leaf_count(),
+                "nvmc leaf index beyond the tree",
+            ),
+        ] {
+            let path = tmp(name);
+            let _ = std::fs::remove_file(&path);
+            drop(SecureMemory::create_durable(cfg.clone(), &path).unwrap());
+            // Seal a crafted meta blob over the valid image.
+            let mut meta =
+                DurableMeta::decode(scue_nvm::NvmStore::open_file(&path).unwrap().meta()).unwrap();
+            meta.sideband.push((sideband, 1));
+            meta.nvmc.push((nvmc, 1));
+            let mut store = scue_nvm::NvmStore::open_file(&path).unwrap();
+            store.checkpoint(&meta.encode()).unwrap();
+            drop(store);
+            let err = SecureMemory::open_durable(cfg.clone(), &path).unwrap_err();
+            assert_eq!(
+                err,
+                crate::durable::MetaError::Corrupt(what).into(),
+                "{name}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -149,12 +149,16 @@ pub fn recover_image(
     let geometry = ctx.geometry().clone();
     let key = *ctx.key();
     let mut report = OsirisReport::default();
-    let touched: Vec<NodeId> = mem
+    let mut touched: Vec<NodeId> = mem
         .store()
         .iter()
         .filter_map(|(addr, _)| geometry.node_at_addr(addr))
         .filter(|node| node.level == 0)
         .collect();
+    // The store iterates in hash order. Repairs are written as they are
+    // found and the first unrepairable leaf ends the pass, so the order
+    // decides which blocks an error leaves repaired: fix it by address.
+    touched.sort_unstable();
     for leaf in touched {
         let addr = geometry.node_addr(leaf);
         let stale = CounterBlock::from_line(&mem.store().read_line(addr));

@@ -177,40 +177,36 @@ impl Default for CounterBlock {
     }
 }
 
-/// Bit-packs 64 seven-bit values into 56 bytes.
+/// Minors packed into one 56-bit word: 8 × 7 bits.
+const MINORS_PER_WORD: usize = 8;
+
+/// Bytes of one packed 56-bit word.
+const WORD_BYTES: usize = 7;
+
+/// Packs 64 seven-bit values into 56 bytes: value `i` occupies bits
+/// `7i..7i+7` of the little-endian bit stream, so each run of 8 values
+/// is one 56-bit little-endian word.
 fn pack_7bit(values: &[u8; MINORS_PER_BLOCK], out: &mut [u8]) {
-    debug_assert!(out.len() >= 56);
-    let mut acc: u32 = 0;
-    let mut bits: u32 = 0;
-    let mut byte = 0usize;
-    for &v in values {
-        acc |= ((v & MINOR_MAX) as u32) << bits;
-        bits += MINOR_BITS;
-        while bits >= 8 {
-            out[byte] = (acc & 0xff) as u8;
-            acc >>= 8;
-            bits -= 8;
-            byte += 1;
+    let words = values.chunks_exact(MINORS_PER_WORD);
+    for (group, bytes) in words.zip(out[..56].chunks_exact_mut(WORD_BYTES)) {
+        let mut word = 0u64;
+        for (j, &v) in group.iter().enumerate() {
+            word |= ((v & MINOR_MAX) as u64) << (MINOR_BITS as usize * j);
         }
+        bytes.copy_from_slice(&word.to_le_bytes()[..WORD_BYTES]);
     }
-    debug_assert_eq!(bits, 0, "64 * 7 bits is a whole number of bytes");
 }
 
 /// Inverse of [`pack_7bit`].
 fn unpack_7bit(input: &[u8], out: &mut [u8; MINORS_PER_BLOCK]) {
-    debug_assert!(input.len() >= 56);
-    let mut acc: u32 = 0;
-    let mut bits: u32 = 0;
-    let mut byte = 0usize;
-    for slot in out.iter_mut() {
-        while bits < MINOR_BITS {
-            acc |= (input[byte] as u32) << bits;
-            bits += 8;
-            byte += 1;
+    let words = input[..56].chunks_exact(WORD_BYTES);
+    for (bytes, group) in words.zip(out.chunks_exact_mut(MINORS_PER_WORD)) {
+        let mut le = [0u8; 8];
+        le[..WORD_BYTES].copy_from_slice(bytes);
+        let word = u64::from_le_bytes(le);
+        for (j, slot) in group.iter_mut().enumerate() {
+            *slot = ((word >> (MINOR_BITS as usize * j)) as u8) & MINOR_MAX;
         }
-        *slot = (acc & MINOR_MAX as u32) as u8;
-        acc >>= MINOR_BITS;
-        bits -= MINOR_BITS;
     }
 }
 
@@ -222,16 +218,17 @@ fn unpack_7bit(input: &[u8], out: &mut [u8; MINORS_PER_BLOCK]) {
 /// produce unrelated pads.
 pub fn one_time_pad(key: &SecretKey, line_addr: u64, major: u64, minor: u8) -> Line {
     let _span = span::enter("hmac.compute");
+    // Every lane hashes the same four leading words; absorb them once.
+    let mut prefix = WordHasher::new(key);
+    prefix.write_u64(0x4f54_5021); // domain tag "OTP!"
+    prefix.write_u64(line_addr);
+    prefix.write_u64(major);
+    prefix.write_u64(minor as u64);
     let mut pad = [0u8; LINE_BYTES];
-    for lane in 0..(LINE_BYTES / 8) {
-        let mut h = WordHasher::new(key);
-        h.write_u64(0x4f54_5021); // domain tag "OTP!"
-        h.write_u64(line_addr);
-        h.write_u64(major);
-        h.write_u64(minor as u64);
+    for (lane, bytes) in pad.chunks_exact_mut(8).enumerate() {
+        let mut h = prefix.clone();
         h.write_u64(lane as u64);
-        let tag = h.finish();
-        pad[lane * 8..(lane + 1) * 8].copy_from_slice(&tag.to_le_bytes());
+        bytes.copy_from_slice(&h.finish().to_le_bytes());
     }
     pad
 }
@@ -274,6 +271,134 @@ fn xor_lines(a: &Line, b: &Line) -> Line {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scue_util::prop::{self, collection, prelude::*};
+
+    /// Reference bit-serial packer: one value at a time through a
+    /// shifting accumulator.
+    fn pack_7bit_bitserial(values: &[u8; MINORS_PER_BLOCK], out: &mut [u8]) {
+        let mut acc: u32 = 0;
+        let mut bits: u32 = 0;
+        let mut byte = 0usize;
+        for &v in values {
+            acc |= ((v & MINOR_MAX) as u32) << bits;
+            bits += MINOR_BITS;
+            while bits >= 8 {
+                out[byte] = (acc & 0xff) as u8;
+                acc >>= 8;
+                bits -= 8;
+                byte += 1;
+            }
+        }
+        assert_eq!(bits, 0, "64 * 7 bits is a whole number of bytes");
+    }
+
+    /// Reference bit-serial unpacker, inverse of [`pack_7bit_bitserial`].
+    fn unpack_7bit_bitserial(input: &[u8], out: &mut [u8; MINORS_PER_BLOCK]) {
+        let mut acc: u32 = 0;
+        let mut bits: u32 = 0;
+        let mut byte = 0usize;
+        for slot in out.iter_mut() {
+            while bits < MINOR_BITS {
+                acc |= (input[byte] as u32) << bits;
+                bits += 8;
+                byte += 1;
+            }
+            *slot = (acc & MINOR_MAX as u32) as u8;
+            acc >>= MINOR_BITS;
+            bits -= MINOR_BITS;
+        }
+    }
+
+    /// Reference pad: every lane hashes all five words from a fresh state.
+    fn one_time_pad_per_lane(key: &SecretKey, line_addr: u64, major: u64, minor: u8) -> Line {
+        let mut pad = [0u8; LINE_BYTES];
+        for lane in 0..(LINE_BYTES / 8) {
+            let mut h = WordHasher::new(key);
+            h.write_u64(0x4f54_5021);
+            h.write_u64(line_addr);
+            h.write_u64(major);
+            h.write_u64(minor as u64);
+            h.write_u64(lane as u64);
+            pad[lane * 8..(lane + 1) * 8].copy_from_slice(&h.finish().to_le_bytes());
+        }
+        pad
+    }
+
+    /// Minors drawn to hit both ends of the 7-bit range often: 0, 127
+    /// and out-of-range bytes the packer must mask.
+    fn minors_strategy() -> collection::VecStrategy<std::ops::RangeInclusive<u8>> {
+        collection::vec(0u8..=255, MINORS_PER_BLOCK)
+    }
+
+    fn block_from(major: u64, raw: &[u8]) -> CounterBlock {
+        let mut block = CounterBlock::new();
+        block.set_major(major);
+        for (i, &v) in raw.iter().enumerate() {
+            // Fold the draw so 0 and MINOR_MAX each come up ~1 in 8.
+            let v = match v % 8 {
+                0 => 0,
+                1 => MINOR_MAX,
+                _ => v,
+            };
+            block.set_minor(i, v).expect("64 minors");
+        }
+        block
+    }
+
+    #[test]
+    fn word_codec_matches_bitserial_reference() {
+        prop::run(
+            &ProptestConfig::with_cases(512),
+            "word_codec_matches_bitserial_reference",
+            &(any::<u64>(), minors_strategy(), any::<bool>()),
+            |(major, raw, wrap)| {
+                let mut block = block_from(major, &raw);
+                if wrap {
+                    // Drive minor 0 through its overflow: all minors reset
+                    // and the major wraps from u64::MAX to 0.
+                    block.set_major(u64::MAX);
+                    block.set_minor(0, MINOR_MAX).expect("slot 0");
+                    prop_assert_eq!(block.increment(0), Ok(IncrementOutcome::Overflow));
+                    prop_assert_eq!(block.major(), 0);
+                }
+                let mut reference = [0u8; LINE_BYTES];
+                reference[..8].copy_from_slice(&block.major().to_le_bytes());
+                pack_7bit_bitserial(&block.minors, &mut reference[8..]);
+                let line = block.to_line();
+                prop_assert_eq!(line, reference);
+                let mut minors = [0u8; MINORS_PER_BLOCK];
+                unpack_7bit_bitserial(&line[8..], &mut minors);
+                prop_assert_eq!(CounterBlock::from_line(&line).minors, minors);
+                prop_assert_eq!(CounterBlock::from_line(&line), block);
+                // Arbitrary bytes decode identically too (a torn or
+                // tampered line is not a packer output).
+                let mut noise = [0u8; LINE_BYTES];
+                for (i, b) in noise.iter_mut().enumerate() {
+                    *b = raw[i].wrapping_mul(31).wrapping_add(major as u8);
+                }
+                unpack_7bit_bitserial(&noise[8..], &mut minors);
+                prop_assert_eq!(CounterBlock::from_line(&noise).minors, minors);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn shared_prefix_pad_matches_per_lane_reference() {
+        prop::run(
+            &ProptestConfig::with_cases(256),
+            "shared_prefix_pad_matches_per_lane_reference",
+            &(any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()),
+            |(seed, addr, major, minor)| {
+                let key = SecretKey::from_seed(seed);
+                prop_assert_eq!(
+                    one_time_pad(&key, addr, major, minor),
+                    one_time_pad_per_lane(&key, addr, major, minor)
+                );
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn fresh_block_is_zero() {

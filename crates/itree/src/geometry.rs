@@ -15,6 +15,11 @@ pub const ARITY: u64 = 8;
 /// Data lines covered by one leaf counter block (64 minors, §II-B).
 pub const LINES_PER_LEAF: u64 = 64;
 
+/// Most stored levels any geometry has: a `u64` line count covers at
+/// most 2^58 leaves, and each level above divides its width by
+/// [`ARITY`] until it fits under the root, which takes 20 levels.
+pub const MAX_STORED_LEVELS: usize = 20;
+
 /// A node's position: `(level, index)`. Level 0 is the leaf (counter
 /// block) level; the root is *not* a `NodeId` (it is on-chip, see
 /// [`Parent::Root`]).
@@ -52,6 +57,22 @@ pub enum Parent {
     /// The on-chip root register; the payload is the root counter slot
     /// (0..8) covering the child.
     Root(usize),
+}
+
+/// The ancestors of a node, nearest first: a fixed-capacity chain, so a
+/// tree walk allocates nothing. Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ancestors {
+    nodes: [NodeId; MAX_STORED_LEVELS - 1],
+    len: usize,
+}
+
+impl std::ops::Deref for Ancestors {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..self.len]
+    }
 }
 
 /// Geometry of one integrity tree instance.
@@ -223,13 +244,17 @@ impl TreeGeometry {
 
     /// The chain of ancestors of `node`, nearest first, ending at the
     /// root slot.
-    pub fn ancestors(&self, node: NodeId) -> (Vec<NodeId>, usize) {
-        let mut chain = Vec::new();
+    pub fn ancestors(&self, node: NodeId) -> (Ancestors, usize) {
+        let mut chain = Ancestors {
+            nodes: [NodeId::new(0, 0); MAX_STORED_LEVELS - 1],
+            len: 0,
+        };
         let mut cur = node;
         loop {
             match self.parent(cur) {
                 Parent::Node(p) => {
-                    chain.push(p);
+                    chain.nodes[chain.len] = p;
+                    chain.len += 1;
                     cur = p;
                 }
                 Parent::Root(slot) => return (chain, slot),
@@ -356,6 +381,16 @@ mod tests {
         for (i, n) in chain.iter().enumerate() {
             assert_eq!(n.level as usize, i + 1);
         }
+    }
+
+    #[test]
+    fn widest_geometry_fits_the_chain_capacity() {
+        // About as many leaves as a u64 line count can hold once the
+        // metadata region must fit beside the data.
+        let g = TreeGeometry::for_data_lines(u64::MAX - (1 << 59) + 1);
+        assert_eq!(g.stored_levels() as usize, MAX_STORED_LEVELS);
+        let (chain, _) = g.ancestors(NodeId::new(0, g.leaf_count() - 1));
+        assert_eq!(chain.len(), MAX_STORED_LEVELS - 1);
     }
 
     #[test]

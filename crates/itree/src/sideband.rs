@@ -6,13 +6,13 @@
 //! DIMM: it is transferred *with* its line at no extra memory traffic, is
 //! persistent, and is just as tamperable as the line itself.
 //!
-//! The sideband is modelled as a map from line address to MAC, with the
-//! same sparse-zero, snapshot and tamper semantics as
-//! [`scue_nvm::NvmStore`]. Intermediate SIT nodes do *not* use the
+//! The sideband is modelled as a map from line address to MAC (keyed with
+//! the fixed hasher of [`scue_util::hash`]), with the same sparse-zero,
+//! snapshot and tamper semantics as [`scue_nvm::NvmStore`]. Intermediate SIT nodes do *not* use the
 //! sideband: their HMAC fits inside the 64 B node (Fig. 4).
 
 use scue_nvm::LineAddr;
-use std::collections::HashMap;
+use scue_util::hash::FixedHashMap;
 
 /// Persistent per-line MAC storage in the DIMM's ECC bits.
 ///
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MacSideband {
-    macs: HashMap<LineAddr, u64>,
+    macs: FixedHashMap<LineAddr, u64>,
 }
 
 impl MacSideband {
@@ -93,7 +93,7 @@ impl MacSideband {
 /// A captured sideband image.
 #[derive(Debug, Clone)]
 pub struct MacSidebandSnapshot {
-    macs: HashMap<LineAddr, u64>,
+    macs: FixedHashMap<LineAddr, u64>,
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::geometry::{NodeId, TreeGeometry};
 use crate::node::{SitNode, COUNTER_MASK};
 use crate::root::RootRegister;
 use crate::sideband::MacSideband;
-use scue_crypto::cme::CounterBlock;
+use scue_crypto::cme::{CounterBlock, Line};
 use scue_crypto::hmac::sit_node_hmac;
 use scue_crypto::SecretKey;
 use scue_nvm::NvmStore;
@@ -85,9 +85,14 @@ impl SitContext {
     /// parent counter). The block's 64 B line is bound wholesale so every
     /// minor counter is covered.
     pub fn leaf_mac(&self, leaf: NodeId, block: &CounterBlock, parent_counter: u64) -> u64 {
+        self.leaf_line_mac(leaf, &block.to_line(), parent_counter)
+    }
+
+    /// [`Self::leaf_mac`] over the block's packed line, for a caller that
+    /// writes that same line and so encodes the block only once.
+    pub fn leaf_line_mac(&self, leaf: NodeId, line: &Line, parent_counter: u64) -> u64 {
         debug_assert_eq!(leaf.level, 0, "leaf_mac takes level-0 nodes");
         let addr = self.geometry.node_addr(leaf);
-        let line = block.to_line();
         let mut words = [0u64; 8];
         for (i, word) in words.iter_mut().enumerate() {
             *word = u64::from_le_bytes(line[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));

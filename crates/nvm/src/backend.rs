@@ -5,7 +5,7 @@
 //! actually lives:
 //!
 //! * [`MemBackend`] — the classic sparse hash map over an implicit
-//!   all-zero image. Checkpoints are generation bumps with no I/O.
+//!   all-zero image, keyed with the fixed hasher of [`scue_util::hash`]. Checkpoints are generation bumps with no I/O.
 //! * [`crate::checkpoint::FileBackend`] — a page-granular file with
 //!   copy-on-write checkpoints and dual root slots (see
 //!   [`crate::layout`]), so a killed process can reopen the image and
@@ -19,7 +19,7 @@
 use crate::addr::LineAddr;
 use crate::layout::HeaderError;
 use crate::store::{Line, ZERO_LINE};
-use std::collections::HashMap;
+use scue_util::hash::FixedHashMap;
 
 /// A typed, cloneable I/O failure (the std error is not `Clone`, and the
 /// store must stay `Clone` for crash experiments).
@@ -138,7 +138,7 @@ pub trait Backend {
 /// The classic in-memory backend: a sparse map of touched lines.
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
-    lines: HashMap<LineAddr, Line>,
+    lines: FixedHashMap<LineAddr, Line>,
     generation: u64,
     meta: Vec<u8>,
 }
@@ -150,12 +150,12 @@ impl MemBackend {
     }
 
     /// Replaces the whole image (snapshot restore).
-    pub(crate) fn replace_lines(&mut self, lines: HashMap<LineAddr, Line>) {
+    pub(crate) fn replace_lines(&mut self, lines: FixedHashMap<LineAddr, Line>) {
         self.lines = lines;
     }
 
     /// Borrowed view of the line map (snapshot capture).
-    pub(crate) fn line_map(&self) -> &HashMap<LineAddr, Line> {
+    pub(crate) fn line_map(&self) -> &FixedHashMap<LineAddr, Line> {
         &self.lines
     }
 }

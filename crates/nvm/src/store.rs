@@ -21,7 +21,7 @@
 use crate::addr::{LineAddr, LINE_BYTES};
 use crate::backend::{Backend, IoError, MemBackend, OpenError};
 use crate::checkpoint::FileBackend;
-use std::collections::HashMap;
+use scue_util::hash::FixedHashMap;
 use std::path::Path;
 
 /// One 64 B line of content.
@@ -75,7 +75,7 @@ pub struct HistoryStats {
 /// injector, capped so week-long campaigns cannot grow it without limit.
 #[derive(Debug, Clone)]
 struct HistoryJournal {
-    map: HashMap<LineAddr, Line>,
+    map: FixedHashMap<LineAddr, Line>,
     cap: usize,
     dropped: u64,
 }
@@ -83,7 +83,7 @@ struct HistoryJournal {
 impl HistoryJournal {
     fn new(cap: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: FixedHashMap::default(),
             cap,
             dropped: 0,
         }
@@ -345,7 +345,7 @@ impl NvmStore {
 /// A captured NVM image (see [`NvmStore::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct NvmSnapshot {
-    lines: HashMap<LineAddr, Line>,
+    lines: FixedHashMap<LineAddr, Line>,
 }
 
 impl NvmSnapshot {

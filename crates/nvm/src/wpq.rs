@@ -77,6 +77,9 @@ pub struct InFlight {
 pub struct WritePendingQueue {
     capacity: usize,
     entries: VecDeque<Entry>,
+    /// No entry drains before this cycle, so retiring at an earlier
+    /// `now` has nothing to remove.
+    next_drain: Cycle,
     full_stalls: u64,
     enqueued: u64,
     coalesced: u64,
@@ -95,6 +98,7 @@ impl WritePendingQueue {
         Self {
             capacity,
             entries: VecDeque::new(),
+            next_drain: Cycle::MAX,
             full_stalls: 0,
             enqueued: 0,
             coalesced: 0,
@@ -130,9 +134,18 @@ impl WritePendingQueue {
     }
 
     fn retire(&mut self, now: Cycle) {
+        if now < self.next_drain {
+            return;
+        }
         // Writes to different banks drain out of order, so a slot frees
         // whenever *any* entry has drained, not just the oldest.
         self.entries.retain(|e| e.drained > now);
+        self.next_drain = self
+            .entries
+            .iter()
+            .map(|e| e.drained)
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// Enqueues a write to `addr` arriving at `now`, scheduling the media
@@ -175,6 +188,9 @@ impl WritePendingQueue {
             accepted,
             drained,
         });
+        // Removing the full-stall victim above can only raise the true
+        // earliest drain, so `next_drain` stays a lower bound.
+        self.next_drain = self.next_drain.min(drained);
         self.enqueued += 1;
         self.max_occupancy = self.max_occupancy.max(self.entries.len());
         Enqueued { accepted, drained }
@@ -306,6 +322,66 @@ mod tests {
         // A barrier on an empty queue completes at `now`.
         assert_eq!(wpq.barrier(horizon + 5), horizon + 5);
         assert_eq!(wpq.stats().barriers, 2);
+    }
+
+    /// The reference queue: `next_drain` forced to zero before every
+    /// operation, so `retire` scans and `retain`s on every enqueue and
+    /// barrier, as the queue did before the fast path.
+    fn always_retain(q: &mut WritePendingQueue) -> &mut WritePendingQueue {
+        q.next_drain = 0;
+        q
+    }
+
+    #[test]
+    fn fast_retire_matches_always_retain() {
+        use scue_util::prop::{self, collection, ProptestConfig};
+        // (op, address, time step): a 3-deep queue on one bank over six
+        // lines, so streams hit full-queue stalls and coalescing; the
+        // step may move time backwards, as interleaved cores do.
+        let stream = collection::vec((0u8..16, 0u64..6, 0u64..400), 1..120);
+        prop::run(
+            &ProptestConfig::with_cases(256),
+            "fast_retire_matches_always_retain",
+            &stream,
+            |ops| {
+                let (mut fast, mut slow) = (WritePendingQueue::new(3), WritePendingQueue::new(3));
+                let (mut dev_fast, mut dev_slow) = (fast_device(), fast_device());
+                let mut now: Cycle = 1_000;
+                for (op, line, step) in ops {
+                    now = if step % 7 == 0 {
+                        now.saturating_sub(step)
+                    } else {
+                        now + step
+                    };
+                    match op {
+                        0..=11 => {
+                            let addr = LineAddr::new(line * 64);
+                            let a = fast.enqueue(addr, now, &mut dev_fast);
+                            let b = always_retain(&mut slow).enqueue(addr, now, &mut dev_slow);
+                            scue_util::prop_assert_eq!(a, b);
+                        }
+                        12 | 13 => {
+                            scue_util::prop_assert_eq!(
+                                fast.in_flight_at(now),
+                                slow.in_flight_at(now)
+                            );
+                            scue_util::prop_assert_eq!(fast.occupancy(now), slow.occupancy(now));
+                        }
+                        14 => {
+                            let b = always_retain(&mut slow).barrier(now);
+                            scue_util::prop_assert_eq!(fast.barrier(now), b);
+                        }
+                        _ => {
+                            fast.clear();
+                            slow.clear();
+                        }
+                    }
+                    scue_util::prop_assert_eq!(fast.stats(), slow.stats());
+                    scue_util::prop_assert_eq!(fast.drained_at(), slow.drained_at());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

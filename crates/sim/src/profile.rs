@@ -155,15 +155,23 @@ fn profile_scheme(cfg: &ProfileConfig, scheme: SchemeKind) -> SchemeProfile {
 /// Profiles every configured scheme on up to `jobs` worker threads.
 ///
 /// Flips the process-wide span/allocator switches on for the duration;
-/// results come back in scheme order regardless of scheduling.
+/// results come back in scheme order regardless of scheduling. Runs in
+/// one process take turns, so one run's switch-off cannot cut another
+/// short.
 pub fn run(cfg: &ProfileConfig, jobs: usize) -> Vec<SchemeProfile> {
+    static SPAN_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The gate guards no data, so a run that panicked leaves nothing
+    // to repair.
+    let _turn = SPAN_SWITCH
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     span::set_clock(cfg.clock);
     span::set_enabled(true);
-    alloc::set_enabled(true);
-    let results = par::run_indexed(jobs, &cfg.schemes, |_, &scheme, _| {
-        profile_scheme(cfg, scheme)
+    let results = alloc::with_switch(true, || {
+        par::run_indexed(jobs, &cfg.schemes, |_, &scheme, _| {
+            profile_scheme(cfg, scheme)
+        })
     });
-    alloc::set_enabled(false);
     span::set_enabled(false);
     span::reset_thread();
     results

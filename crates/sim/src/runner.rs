@@ -14,9 +14,9 @@ use scue_cache::{DataHierarchy, MemSide};
 use scue_crypto::siphash::WordHasher;
 use scue_crypto::SecretKey;
 use scue_nvm::{Cycle, LineAddr, PcmCounters, WpqStats};
+use scue_util::hash::FixedHashMap;
 use scue_util::obs::{EpochSample, EpochSampler};
 use scue_workloads::{MemOp, Trace};
-use std::collections::HashMap;
 
 /// One 64 B line.
 pub type Line = [u8; 64];
@@ -59,10 +59,10 @@ impl RunResult {
 pub struct System {
     engine: SecureMemory,
     hierarchy: DataHierarchy,
-    /// Program-visible memory: the latest value of every stored line,
-    /// used to supply writeback content (the hierarchy models timing
-    /// only).
-    program_mem: HashMap<LineAddr, Line>,
+    /// Program-visible memory: the sequence number of the latest store
+    /// to every stored line, from which [`System::store_content`] builds
+    /// the writeback content (the hierarchy models timing only).
+    program_mem: FixedHashMap<LineAddr, u64>,
     content_key: SecretKey,
     store_seq: u64,
     outstanding_persists: Vec<Cycle>,
@@ -84,7 +84,7 @@ impl System {
         Self {
             engine: SecureMemory::new(cfg.mem.clone()),
             hierarchy: DataHierarchy::new(cfg.hierarchy, cfg.cores),
-            program_mem: HashMap::new(),
+            program_mem: FixedHashMap::default(),
             content_key: SecretKey::from_seed(0xC0DE),
             store_seq: 0,
             outstanding_persists: Vec::new(),
@@ -154,15 +154,25 @@ impl System {
     /// Deterministic content for the `seq`-th store to `addr` — stands in
     /// for real program data without carrying bytes in the trace.
     fn store_content(&self, addr: LineAddr, seq: u64) -> Line {
+        // Every lane hashes the same two leading words; absorb them once.
+        let mut prefix = WordHasher::new(&self.content_key);
+        prefix.write_u64(addr.raw());
+        prefix.write_u64(seq);
         let mut line = [0u8; 64];
-        for lane in 0..8 {
-            let mut h = WordHasher::new(&self.content_key);
-            h.write_u64(addr.raw());
-            h.write_u64(seq);
+        for (lane, bytes) in line.chunks_exact_mut(8).enumerate() {
+            let mut h = prefix.clone();
             h.write_u64(lane as u64);
-            line[lane * 8..(lane + 1) * 8].copy_from_slice(&h.finish().to_le_bytes());
+            bytes.copy_from_slice(&h.finish().to_le_bytes());
         }
         line
+    }
+
+    /// The program's current content of `addr`: its latest store, or
+    /// zero if the program never stored to it.
+    fn program_content(&self, addr: LineAddr) -> Line {
+        self.program_mem
+            .get(&addr)
+            .map_or([0u8; 64], |&seq| self.store_content(addr, seq))
     }
 
     /// Posts a writeback at `now`, applying writeback-buffer
@@ -181,7 +191,7 @@ impl System {
             now = now.max(oldest);
             self.outstanding_writebacks.retain(|&done| done > now);
         }
-        let content = self.program_mem.get(&addr).copied().unwrap_or([0u8; 64]);
+        let content = self.program_content(addr);
         let done = self.engine.persist_data(addr, content, now)?;
         self.outstanding_writebacks.push(done);
         Ok(now)
@@ -223,15 +233,13 @@ impl System {
                     let (_, done) = self.engine.read_data(addr, now)?;
                     now = done;
                 }
-                let seq = self.store_seq;
+                self.program_mem.insert(addr, self.store_seq);
                 self.store_seq += 1;
-                let content = self.store_content(addr, seq);
-                self.program_mem.insert(addr, content);
             }
             MemOp::Persist(addr) => {
                 now += 2; // clwb issue
                 if let Some(dirty) = self.hierarchy.flush_line(core, addr) {
-                    let content = self.program_mem.get(&dirty).copied().unwrap_or([0u8; 64]);
+                    let content = self.program_content(dirty);
                     let done = self.engine.persist_data(dirty, content, now)?;
                     outstanding.push(done);
                 }
@@ -518,6 +526,39 @@ mod tests {
         let c = system.store_content(LineAddr::new(5), 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Reference content: every lane hashes all three words from a
+    /// fresh state.
+    fn store_content_per_lane(system: &System, addr: LineAddr, seq: u64) -> Line {
+        let mut line = [0u8; 64];
+        for lane in 0..8 {
+            let mut h = WordHasher::new(&system.content_key);
+            h.write_u64(addr.raw());
+            h.write_u64(seq);
+            h.write_u64(lane as u64);
+            line[lane * 8..(lane + 1) * 8].copy_from_slice(&h.finish().to_le_bytes());
+        }
+        line
+    }
+
+    #[test]
+    fn shared_prefix_content_matches_per_lane_reference() {
+        use scue_util::prop::{self, prelude::*};
+        let system = System::new(SystemConfig::fast(SchemeKind::Baseline));
+        prop::run(
+            &ProptestConfig::with_cases(256),
+            "shared_prefix_content_matches_per_lane_reference",
+            &(any::<u64>(), any::<u64>()),
+            |(addr, seq)| {
+                let addr = LineAddr::new(addr);
+                prop_assert_eq!(
+                    system.store_content(addr, seq),
+                    store_content_per_lane(&system, addr, seq)
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]

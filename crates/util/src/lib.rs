@@ -21,7 +21,9 @@
 //! * [`par`] — a deterministic fan-out executor on
 //!   `std::thread::scope`: index-derived seed streams, index-ordered
 //!   collection and first-cell panic propagation, so sweeps produce
-//!   byte-identical output at any `--jobs` count.
+//!   byte-identical output at any `--jobs` count;
+//! * [`hash`] — a fixed multiplicative hasher for the maps keyed by
+//!   line addresses and leaf indices on the simulator's hot path.
 
 // `deny` rather than `forbid`: the counting global allocator
 // (`obs::alloc`) implements the inherently-unsafe `GlobalAlloc` trait
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod hash;
 pub mod obs;
 pub mod par;
 pub mod prop;

@@ -227,26 +227,28 @@ impl Drop for PauseGuard {
     }
 }
 
+/// Runs `f` with the process-wide switch set to `on` and the calling
+/// thread's attribution counters zeroed, holding the gate every caller
+/// that flips the switch takes, so no caller can flip it under another.
+/// Other threads' allocations may bleed into the process counters, so
+/// callers should assert only on [`thread_counts`] and relative growth.
+pub fn with_switch<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    use std::sync::{Mutex, PoisonError};
+    static GATE: Mutex<()> = Mutex::new(());
+    // The gate guards no data, and the switch is set again below, so a
+    // holder that panicked leaves nothing to repair.
+    let _guard = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    reset_thread_counts();
+    set_enabled(on);
+    let r = f();
+    set_enabled(false);
+    reset_thread_counts();
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Runs `f` with the process-wide switch set to `on`, holding the
-    /// gate every test that touches the switch takes, so no test can
-    /// flip it under another (other threads' allocations may bleed into
-    /// process counters, so tests assert only on thread-local
-    /// attribution and relative growth).
-    fn with_switch<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        use std::sync::{Mutex, OnceLock};
-        static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        let _guard = GATE.get_or_init(|| Mutex::new(())).lock().unwrap();
-        reset_thread_counts();
-        set_enabled(on);
-        let r = f();
-        set_enabled(false);
-        reset_thread_counts();
-        r
-    }
 
     fn with_counting<R>(f: impl FnOnce() -> R) -> R {
         with_switch(true, f)
