@@ -88,7 +88,7 @@ impl LatencyStats {
 }
 
 /// Everything the engine counts while running.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Latency of each user-data persist, from arrival at the controller
     /// to scheme-defined completion (Fig. 9's metric).

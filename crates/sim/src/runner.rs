@@ -217,8 +217,7 @@ impl System {
                     now = self.writeback(wb, now)?;
                 }
                 if r.served_by == MemSide::Memory {
-                    let (_, done) = self.engine.read_data(addr, now)?;
-                    now = done;
+                    now = self.engine.fill_data(addr, now)?;
                 }
             }
             MemOp::Store(addr) => {
@@ -230,8 +229,7 @@ impl System {
                 if r.served_by == MemSide::Memory {
                     // Write-allocate: the fill read is on the store path
                     // but the store itself retires into L1.
-                    let (_, done) = self.engine.read_data(addr, now)?;
-                    now = done;
+                    now = self.engine.fill_data(addr, now)?;
                 }
                 self.program_mem.insert(addr, self.store_seq);
                 self.store_seq += 1;

@@ -24,19 +24,23 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 metrics_tmp="$(mktemp -d)"
 trap 'rm -rf "$metrics_tmp"' EXIT
 
-echo "==> benchmark smoke (perfbench crash-campaign, 2 s): digests repeat, oracle clean"
 # Every pass must reproduce the first pass's digest of simulated
-# statistics, and every crash case must pass the torture oracle; the
-# benchmark reports either failure as "correct":false on its last line.
-cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload crash-campaign --seconds 2 --trace 0 > "$metrics_tmp/perfbench.txt"
-bench_verdict="$(tail -n 1 "$metrics_tmp/perfbench.txt")"
-if ! grep -q '"correct":true' <<<"$bench_verdict" || ! grep -q '"failed":0,' <<<"$bench_verdict"; then
-    echo "ERROR: perfbench crash-campaign smoke is not correct or failed cases:" >&2
-    cat "$metrics_tmp/perfbench.txt" >&2
-    exit 1
-fi
-grep -o 'digest=0x[0-9a-f]*' "$metrics_tmp/perfbench.txt"
+# statistics, and every operation must pass its check (the torture
+# oracle on crash-campaign, the full-System run on spec-read, whose
+# LLC-miss fills take the verified read path); the benchmark reports
+# either failure as "correct":false on its last line.
+for workload in crash-campaign spec-read; do
+    echo "==> benchmark smoke (perfbench $workload, 2 s): digests repeat, no failed operations"
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --trace 0 > "$metrics_tmp/perfbench.txt"
+    bench_verdict="$(tail -n 1 "$metrics_tmp/perfbench.txt")"
+    if ! grep -q '"correct":true' <<<"$bench_verdict" || ! grep -q '"failed":0,' <<<"$bench_verdict"; then
+        echo "ERROR: perfbench $workload smoke is not correct or failed operations:" >&2
+        cat "$metrics_tmp/perfbench.txt" >&2
+        exit 1
+    fi
+    grep -o 'digest=0x[0-9a-f]*' "$metrics_tmp/perfbench.txt"
+done
 
 echo "==> metrics-export smoke (scue-simulate --metrics-json + scue-check-metrics)"
 cargo run --release --offline -q -p scue-sim --bin scue-simulate -- \
