@@ -225,10 +225,8 @@ pub fn one_time_pad(key: &SecretKey, line_addr: u64, major: u64, minor: u8) -> L
     prefix.write_u64(major);
     prefix.write_u64(minor as u64);
     let mut pad = [0u8; LINE_BYTES];
-    for (lane, bytes) in pad.chunks_exact_mut(8).enumerate() {
-        let mut h = prefix.clone();
-        h.write_u64(lane as u64);
-        bytes.copy_from_slice(&h.finish().to_le_bytes());
+    for (bytes, lane) in pad.chunks_exact_mut(8).zip(prefix.finish_lanes()) {
+        bytes.copy_from_slice(&lane.to_le_bytes());
     }
     pad
 }

@@ -156,6 +156,133 @@ impl WordHasher {
         self.state.compress(count.wrapping_shl(56) | count);
         self.state.finalize()
     }
+
+    /// Completes [`LANES`] one-word extensions of this hash at once:
+    /// lane `i` is `{ let mut h = self.clone(); h.write_u64(i); h.finish() }`.
+    ///
+    /// This is how a 64 B line is derived from one shared prefix (the
+    /// one-time pad, the simulator's store contents). On x86-64 hosts
+    /// with AVX-512F the eight lanes run side by side in one vector
+    /// kernel; elsewhere they run one after another. Both give the same
+    /// words.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use scue_crypto::{SecretKey, siphash::WordHasher};
+    ///
+    /// let mut prefix = WordHasher::new(&SecretKey::from_seed(1));
+    /// prefix.write_u64(7);
+    /// let lanes = prefix.finish_lanes();
+    /// let mut h = prefix.clone();
+    /// h.write_u64(3);
+    /// assert_eq!(lanes[3], h.finish());
+    /// ```
+    // The one unsafe site outside `scue_util::obs::alloc`: the call
+    // into the AVX-512 instantiation of the lane kernel.
+    #[allow(unsafe_code)]
+    pub fn finish_lanes(&self) -> [u64; LANES] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `finish_lanes_avx512` needs only AVX-512F, which
+            // `is_x86_feature_detected!` just confirmed on this CPU.
+            return unsafe { finish_lanes_avx512(self.state, self.words) };
+        }
+        self.finish_lanes_per_lane()
+    }
+
+    /// The portable path of [`Self::finish_lanes`] and its reference:
+    /// one clone of the hasher per lane.
+    fn finish_lanes_per_lane(&self) -> [u64; LANES] {
+        std::array::from_fn(|lane| {
+            let mut h = self.clone();
+            h.write_u64(lane as u64);
+            h.finish()
+        })
+    }
+}
+
+/// Words produced by one [`WordHasher::finish_lanes`] call: one per
+/// 8-byte slice of a 64 B line.
+pub const LANES: usize = 8;
+
+/// One SipHash state word across all [`LANES`] lanes.
+type LaneWord = [u64; LANES];
+
+/// The AVX-512F instantiation of [`finish_lanes_soa`]: each lane-wise
+/// step compiles to one `vpaddq`/`vpxorq`/`vprolq` on a zmm register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn finish_lanes_avx512(state: State, words: u64) -> [u64; LANES] {
+    finish_lanes_soa(state, words)
+}
+
+/// The lane math of [`WordHasher::finish_lanes`], structure-of-arrays:
+/// every lane starts from `state` (a prefix of `words` words), absorbs
+/// its own index, then the word count `words + 1`, and is finalized.
+/// State word `vN` of all lanes sits in one [`LaneWord`], so each step
+/// of a SipHash round is one element-wise operation over the lanes.
+#[inline(always)]
+fn finish_lanes_soa(state: State, words: u64) -> [u64; LANES] {
+    #[inline(always)]
+    fn add(a: &mut LaneWord, b: &LaneWord) {
+        for (a, b) in a.iter_mut().zip(b) {
+            *a = a.wrapping_add(*b);
+        }
+    }
+    #[inline(always)]
+    fn xor(a: &mut LaneWord, b: &LaneWord) {
+        for (a, b) in a.iter_mut().zip(b) {
+            *a ^= *b;
+        }
+    }
+    #[inline(always)]
+    fn rotl(a: &mut LaneWord, n: u32) {
+        for a in a.iter_mut() {
+            *a = a.rotate_left(n);
+        }
+    }
+    #[inline(always)]
+    fn sip_round(v: &mut [LaneWord; 4]) {
+        let [v0, v1, v2, v3] = v;
+        add(v0, v1);
+        rotl(v1, 13);
+        xor(v1, v0);
+        rotl(v0, 32);
+        add(v2, v3);
+        rotl(v3, 16);
+        xor(v3, v2);
+        add(v0, v3);
+        rotl(v3, 21);
+        xor(v3, v0);
+        add(v2, v1);
+        rotl(v1, 17);
+        xor(v1, v2);
+        rotl(v2, 32);
+    }
+    #[inline(always)]
+    fn compress(v: &mut [LaneWord; 4], m: &LaneWord) {
+        xor(&mut v[3], m);
+        sip_round(v);
+        sip_round(v);
+        xor(&mut v[0], m);
+    }
+
+    let mut v = [
+        [state.v0; LANES],
+        [state.v1; LANES],
+        [state.v2; LANES],
+        [state.v3; LANES],
+    ];
+    compress(&mut v, &std::array::from_fn(|lane| lane as u64));
+    let count = words + 1;
+    compress(&mut v, &[count.wrapping_shl(56) | count; LANES]);
+    xor(&mut v[2], &[0xff; LANES]);
+    for _ in 0..4 {
+        sip_round(&mut v);
+    }
+    let [v0, v1, v2, v3] = v;
+    std::array::from_fn(|lane| v0[lane] ^ v1[lane] ^ v2[lane] ^ v3[lane])
 }
 
 impl std::fmt::Debug for WordHasher {
@@ -234,6 +361,32 @@ mod tests {
             h1.finish(),
             h2.finish(),
             "a trailing zero word must change the tag"
+        );
+    }
+
+    /// Every lane of `finish_lanes`, and of the lane kernel run on the
+    /// host's baseline instruction set, equals its own clone-and-finish.
+    /// Prefixes of 0–8 words cover the pad's 4-word prefix, the store
+    /// content's 2-word prefix and the count word `finish` folds in.
+    #[test]
+    fn finish_lanes_matches_per_lane_reference() {
+        use scue_util::prop::{self, collection, prelude::*};
+        prop::run(
+            &ProptestConfig::with_cases(512),
+            "finish_lanes_matches_per_lane_reference",
+            &(
+                any::<u64>(),
+                any::<u64>(),
+                collection::vec(any::<u64>(), 0..=8),
+            ),
+            |(k0, k1, prefix)| {
+                let mut h = WordHasher::new(&SecretKey::new(k0, k1));
+                h.write_all(&prefix);
+                let reference = h.finish_lanes_per_lane();
+                prop_assert_eq!(h.finish_lanes(), reference);
+                prop_assert_eq!(finish_lanes_soa(h.state, h.words), reference);
+                Ok(())
+            },
         );
     }
 

@@ -159,10 +159,8 @@ impl System {
         prefix.write_u64(addr.raw());
         prefix.write_u64(seq);
         let mut line = [0u8; 64];
-        for (lane, bytes) in line.chunks_exact_mut(8).enumerate() {
-            let mut h = prefix.clone();
-            h.write_u64(lane as u64);
-            bytes.copy_from_slice(&h.finish().to_le_bytes());
+        for (bytes, lane) in line.chunks_exact_mut(8).zip(prefix.finish_lanes()) {
+            bytes.copy_from_slice(&lane.to_le_bytes());
         }
         line
     }

@@ -27,7 +27,8 @@
 
 // `deny` rather than `forbid`: the counting global allocator
 // (`obs::alloc`) implements the inherently-unsafe `GlobalAlloc` trait
-// and carries the workspace's only `#[allow(unsafe_code)]`.
+// under this crate's one `#[allow(unsafe_code)]`. The workspace has
+// one other, on `scue_crypto::siphash::WordHasher::finish_lanes`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

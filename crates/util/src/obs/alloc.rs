@@ -24,8 +24,9 @@
 //!   own map/vec operations in [`pause_thread_attribution`] so the act
 //!   of measuring never shows up in the measurement.
 //!
-//! This module is the one `#[allow(unsafe_code)]` island in the
-//! workspace: `GlobalAlloc` is an unsafe trait by definition, and every
+//! This module is one of the workspace's two `#[allow(unsafe_code)]`
+//! sites (the other dispatches `scue_crypto`'s AVX-512 SipHash lane
+//! kernel): `GlobalAlloc` is an unsafe trait by definition, and every
 //! unsafe block here only forwards the already-checked layout to the
 //! system allocator.
 
@@ -106,8 +107,14 @@ fn note_free(size: usize) {
     });
 }
 
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `CountingAlloc` upholds the `GlobalAlloc` contract
+// exactly as `System` does; the counting around each call only touches
+// atomics and `const`-initialised thread-locals, never the heap.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` meets `GlobalAlloc::alloc`'s
+        // contract, which is the contract of `System.alloc`.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             note_alloc(layout.size());
@@ -116,6 +123,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`; `alloc_zeroed` has the same contract.
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             note_alloc(layout.size());
@@ -124,11 +132,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`
+        // underneath, with this same `layout`, as `dealloc` requires.
         unsafe { System.dealloc(ptr, layout) };
         note_free(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` (via this allocator) with
+        // `layout`, and the caller guarantees `new_size` is valid for it.
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             note_free(layout.size());

@@ -11,6 +11,40 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> unsafe inventory: known #[allow(unsafe_code)] sites, a // SAFETY: comment on every unsafe block and impl"
+# Every crate denies or forbids unsafe code. Two sites may allow it: the
+# counting global allocator (`obs::alloc`, an unsafe trait by
+# definition) and the dispatch into the AVX-512 SipHash lane kernel.
+# Each site is named by its file and the item the attribute sits on.
+expected_allow_sites="crates/crypto/src/siphash.rs: pub fn finish_lanes(&self) -> [u64; LANES] {
+crates/util/src/obs/mod.rs: pub mod alloc;"
+allow_sites="$(grep -rnE -A1 --include='*.rs' '^[[:space:]]*#!?\[allow\([^]]*unsafe_code' crates \
+    | grep -E '^[^:]+-[0-9]+-' | sed -E 's/^([^:]+)-[0-9]+-[[:space:]]*/\1: /' | sort)"
+if [ "$allow_sites" != "$expected_allow_sites" ]; then
+    echo "ERROR: #[allow(unsafe_code)] sites differ from the known ones:" >&2
+    diff <(echo "$expected_allow_sites") <(echo "$allow_sites") >&2 || true
+    exit 1
+fi
+# An unsafe block or impl needs a comment block directly above it that
+# contains a `// SAFETY:` line.
+missing_safety="$(find crates -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_comment = 0; has_safety = 0 }
+    /^[[:space:]]*\/\// {
+        if (!in_comment) { in_comment = 1; has_safety = 0 }
+        if ($0 ~ /^[[:space:]]*\/\/ SAFETY:/) has_safety = 1
+        next
+    }
+    /(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|impl([^[:alnum:]_]|$))/ && !(in_comment && has_safety) {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+    { in_comment = 0; has_safety = 0 }
+')"
+if [ -n "$missing_safety" ]; then
+    echo "ERROR: unsafe block or impl without a // SAFETY: comment directly above:" >&2
+    echo "$missing_safety" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --all-targets
 
@@ -27,9 +61,11 @@ trap 'rm -rf "$metrics_tmp"' EXIT
 # Every pass must reproduce the first pass's digest of simulated
 # statistics, and every operation must pass its check (the torture
 # oracle on crash-campaign, the full-System run on spec-read, whose
-# LLC-miss fills take the verified read path); the benchmark reports
-# either failure as "correct":false on its last line.
-for workload in crash-campaign spec-read; do
+# LLC-miss fills take the verified read path, and on pmem-write, whose
+# persists take the full-System write path and its store contents);
+# the benchmark reports either failure as "correct":false on its last
+# line.
+for workload in crash-campaign spec-read pmem-write; do
     echo "==> benchmark smoke (perfbench $workload, 2 s): digests repeat, no failed operations"
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 2 --trace 0 > "$metrics_tmp/perfbench.txt"
@@ -230,7 +266,7 @@ else
     echo "trajectory seeded with ${bench_files[0]}; gate arms at the second snapshot"
 fi
 
-echo "==> observability overhead guard (obs_overhead, <3% with everything off)"
+echo "==> observability overhead guard (obs_overhead: exact sites per persist, disabled sites vs calibration)"
 cargo run --release --offline -q -p scue-bench --bin obs_overhead
 
 echo "==> verifying zero external dependencies"
