@@ -11,7 +11,7 @@
 //! spends its time in.
 //!
 //! ```text
-//! bench_trajectory [--out PATH]
+//! usage: bench_trajectory [--out PATH]
 //! ```
 //!
 //! Scale knobs: `SCUE_BENCH_OPS` (engine ops per sample, default 8000)
@@ -25,6 +25,7 @@ use scue_crypto::hmac::data_line_hmac;
 use scue_crypto::SecretKey;
 use scue_nvm::LineAddr;
 use scue_util::bench::black_box;
+use scue_util::cli::{self, Cli};
 use scue_util::obs::{alloc, Json};
 use std::time::Instant;
 
@@ -101,24 +102,13 @@ fn primitive_median(samples: u64, iters: u64, mut f: impl FnMut(u64)) -> f64 {
 }
 
 fn main() {
-    let mut out = format!("BENCH_{PR}.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = v,
-                None => {
-                    eprintln!("bench_trajectory: --out requires a value");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench_trajectory: unknown flag `{other}`");
-                eprintln!("usage: bench_trajectory [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let out = cli::parse_or_exit(|argv, _| {
+        let mut out = format!("BENCH_{PR}.json");
+        Cli::new("bench_trajectory")
+            .value("--out", "PATH", |v| out = v)
+            .parse(argv, None)?;
+        Ok(out)
+    });
 
     let ops = env_u64("SCUE_BENCH_OPS", 8_000);
     let samples = env_u64("SCUE_BENCH_SAMPLES", 5);
@@ -215,15 +205,8 @@ fn main() {
                     })
                     .collect(),
             ),
-        )
-        .with(
-            "provenance",
-            scue_bench::provenance(1, started.elapsed().as_millis() as u64),
         );
-    if let Err(e) = std::fs::write(&out, doc.render_doc()) {
-        eprintln!("bench_trajectory: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
     println!();
-    println!("wrote {out}");
+    let wall_ms = started.elapsed().as_millis() as u64;
+    cli::write_json("bench_trajectory", &out, doc, 1, wall_ms);
 }

@@ -13,7 +13,7 @@
 use scue::SchemeKind;
 use scue_bench::{
     banner, figure_doc, jobs_or_die, print_latency_percentile_table, print_scheme_table,
-    provenance, rows_to_json, scale, seed, write_figure_json,
+    rows_to_json, scale, seed, write_figure_json,
 };
 use scue_sim::experiment::{comparison_grid, mean_of, Metric};
 use scue_util::obs::Json;
@@ -38,7 +38,6 @@ fn main() {
     }
     let doc = figure_doc("scue-fig09-write-latency")
         .with("rows", rows_to_json(&rows))
-        .with("means", means)
-        .with("provenance", provenance(jobs, wall_ms));
-    write_figure_json("fig09_write_latency", &doc);
+        .with("means", means);
+    write_figure_json("fig09_write_latency", doc, jobs, wall_ms);
 }

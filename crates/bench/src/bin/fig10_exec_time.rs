@@ -11,7 +11,7 @@
 
 use scue::SchemeKind;
 use scue_bench::{
-    banner, figure_doc, jobs_or_die, print_scheme_table, provenance, rows_to_json, scale, seed,
+    banner, figure_doc, jobs_or_die, print_scheme_table, rows_to_json, scale, seed,
     write_figure_json,
 };
 use scue_sim::experiment::{comparison_grid, mean_of, Metric};
@@ -35,7 +35,6 @@ fn main() {
     }
     let doc = figure_doc("scue-fig10-exec-time")
         .with("rows", rows_to_json(&rows))
-        .with("means", means)
-        .with("provenance", provenance(jobs, wall_ms));
-    write_figure_json("fig10_exec_time", &doc);
+        .with("means", means);
+    write_figure_json("fig10_exec_time", doc, jobs, wall_ms);
 }

@@ -8,8 +8,7 @@
 //! `--jobs` count apart from its trailing `provenance` object.
 
 use scue_bench::{
-    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, provenance, scale, seed,
-    write_figure_json,
+    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, scale, seed, write_figure_json,
 };
 use scue_crypto::engine::PAPER_HASH_LATENCIES;
 use scue_sim::experiment::{hash_latency_sweep, Metric};
@@ -61,7 +60,6 @@ fn main() {
 
     let doc = figure_doc("scue-fig11-hash-write-latency")
         .with("rows", hash_rows_to_json(&rows))
-        .with("means", hash_means(&rows))
-        .with("provenance", provenance(jobs, wall_ms));
-    write_figure_json("fig11_hash_write_latency", &doc);
+        .with("means", hash_means(&rows));
+    write_figure_json("fig11_hash_write_latency", doc, jobs, wall_ms);
 }

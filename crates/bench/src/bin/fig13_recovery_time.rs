@@ -10,7 +10,7 @@
 
 use scue::fastrec::{recovery_cost, FastRecovery, RecoveryCost, FIG13_CACHE_SIZES};
 use scue::{SchemeKind, SecureMemConfig, SecureMemory};
-use scue_bench::{banner, figure_doc, jobs_or_die, provenance, write_figure_json};
+use scue_bench::{banner, figure_doc, jobs_or_die, write_figure_json};
 use scue_nvm::LineAddr;
 use scue_util::obs::Json;
 use scue_util::par;
@@ -110,7 +110,6 @@ fn main() {
         );
     let doc = figure_doc("scue-fig13-recovery-time")
         .with("points", points)
-        .with("measured_full_reconstruction", measured)
-        .with("provenance", provenance(jobs, wall_ms));
-    write_figure_json("fig13_recovery_time", &doc);
+        .with("measured_full_reconstruction", measured);
+    write_figure_json("fig13_recovery_time", doc, jobs, wall_ms);
 }

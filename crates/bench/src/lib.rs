@@ -5,15 +5,17 @@
 //! same rows/series the corresponding paper figure plots, normalised
 //! the same way. Scales are configurable through `SCUE_SCALE` and
 //! `SCUE_SEED`; the fan-out width through `--jobs N` or `SCUE_JOBS`
-//! (default: available parallelism). Results are byte-identical at any
-//! job count — only the trailing `provenance` object in the JSON twins
-//! records the width and wall-clock.
+//! (default: available parallelism; parsed by [`scue_util::cli`]).
+//! Results are byte-identical at any job count — only the trailing
+//! `provenance` object in the JSON twins records the width and
+//! wall-clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use scue::SchemeKind;
 use scue_sim::experiment::{HashSweepRow, WorkloadRow};
+use scue_util::cli::{self, Cli};
 use scue_util::obs::Json;
 use scue_util::par;
 use scue_workloads::Workload;
@@ -67,52 +69,21 @@ where
 }
 
 /// Parses a bench bin's command line — `--jobs N` is the only flag —
-/// returning the explicit job count, if any. Errors name the flag and
-/// value (`--jobs`) or variable (`SCUE_JOBS`) exactly like the CLI
-/// bins.
+/// against an explicit `SCUE_JOBS` value, returning the job count.
 pub fn parse_bench_args(
-    tokens: impl Iterator<Item = String>,
+    bin: &'static str,
+    argv: Vec<String>,
     env_jobs: Option<&str>,
-) -> Result<usize, String> {
-    let mut it = tokens;
-    let mut flag_jobs = None;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--jobs requires a value".to_string())?;
-                let jobs: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid value for --jobs: `{v}`"))?;
-                flag_jobs = Some(jobs);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    par::resolve_jobs_from(flag_jobs, env_jobs)
+) -> Result<usize, cli::Error> {
+    let mut jobs = 0;
+    Cli::new(bin).jobs(&mut jobs).parse(argv, env_jobs)?;
+    Ok(jobs)
 }
 
 /// Resolves the bench bin's job count from the live process arguments
-/// and environment, exiting 2 with a usage line on any error.
-pub fn jobs_or_die(bin: &str) -> usize {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_bench_args(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        eprintln!("{bin}: {msg}");
-        eprintln!("usage: {bin} [--jobs N]");
-        std::process::exit(2);
-    })
-}
-
-/// The run-provenance object attached to figure-twin JSON documents:
-/// the fan-out width and wall-clock. Strip this object before diffing
-/// documents across job counts — everything else is byte-identical.
-pub fn provenance(jobs: usize, wall_ms: u64) -> Json {
-    Json::obj()
-        .with("jobs", Json::U64(jobs as u64))
-        .with("wall_ms", Json::U64(wall_ms))
+/// and environment, exiting 2 with the usage on any error.
+pub fn jobs_or_die(bin: &'static str) -> usize {
+    cli::parse_or_exit(|argv, env_jobs| parse_bench_args(bin, argv, env_jobs))
 }
 
 /// Prints a scheme-comparison table (Figs. 9–10 layout) and the per-scheme
@@ -163,19 +134,18 @@ pub fn print_latency_percentile_table(rows: &[WorkloadRow]) {
     }
 }
 
-/// Writes a figure's machine-readable twin to
-/// `results/<name>.json` (the directory rules of
-/// [`scue_util::bench::results_dir`] apply) and prints the path.
+/// Writes a figure's machine-readable twin, with its provenance (fan-out
+/// width and wall-clock), to `results/<name>.json` (the directory rules
+/// of [`scue_util::bench::results_dir`] apply) and prints the path.
+/// `name` is also the bin's name.
 ///
 /// # Panics
 ///
-/// Panics if the results directory cannot be created or written.
-pub fn write_figure_json(name: &str, doc: &Json) {
+/// Panics if the results directory cannot be created.
+pub fn write_figure_json(name: &str, doc: Json, jobs: usize, wall_ms: u64) {
     let dir = scue_util::bench::results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, doc.render_doc()).expect("write figure json");
-    println!("wrote {}", path.display());
+    cli::write_json(name, dir.join(format!("{name}.json")), doc, jobs, wall_ms);
 }
 
 /// The shared skeleton of a figure-twin document: schema version, kind
@@ -273,28 +243,15 @@ mod tests {
     #[test]
     fn bench_args_resolve_jobs_with_named_errors() {
         let parse = |tokens: &[&str], env: Option<&str>| {
-            parse_bench_args(tokens.iter().map(|s| s.to_string()), env)
+            let argv = tokens.iter().map(|s| s.to_string()).collect();
+            parse_bench_args("fig", argv, env).map_err(|e| e.to_string())
         };
-        assert_eq!(parse(&["--jobs", "4"], None), Ok(4));
         assert_eq!(parse(&["--jobs", "4"], Some("9")), Ok(4));
         assert_eq!(parse(&[], Some("9")), Ok(9));
-        assert!(parse(&[], None).unwrap() >= 1);
-        for bad in ["0", "many", ""] {
-            let err = parse(&["--jobs", bad], None).unwrap_err();
-            assert!(
-                err.contains("--jobs") && err.contains(&format!("`{bad}`")),
-                "{err}"
-            );
-            let env_err = parse(&[], Some(bad)).unwrap_err();
-            assert!(env_err.contains("SCUE_JOBS"), "{env_err}");
-        }
-        assert!(parse(&["--jobs"], None).unwrap_err().contains("--jobs"));
-        assert!(parse(&["--what"], None).unwrap_err().contains("--what"));
-    }
-
-    #[test]
-    fn provenance_shape() {
-        assert_eq!(provenance(4, 120).render(), r#"{"jobs":4,"wall_ms":120}"#);
+        assert_eq!(
+            parse(&["--what"], None),
+            Err("unknown flag `--what`".into())
+        );
     }
 
     #[test]

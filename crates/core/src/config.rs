@@ -181,14 +181,6 @@ impl SchemeKind {
         self.spec().token
     }
 
-    /// Parses a scheme from its token or its display name, ignoring
-    /// ASCII case (`bmf`, `bmf-ideal` and `BMF-ideal` all name BMF-ideal).
-    pub fn parse(s: &str) -> Option<SchemeKind> {
-        SchemeKind::ALL
-            .into_iter()
-            .find(|k| s.eq_ignore_ascii_case(k.token()) || s.eq_ignore_ascii_case(k.name()))
-    }
-
     /// Every token in [`SchemeKind::ALL`] order, `|`-separated, for
     /// usage text.
     pub fn token_choices() -> String {
@@ -370,6 +362,19 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
+/// Parses a scheme from its token or its display name, ignoring ASCII
+/// case (`bmf`, `bmf-ideal` and `BMF-ideal` all name BMF-ideal).
+impl std::str::FromStr for SchemeKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SchemeKind, String> {
+        SchemeKind::ALL
+            .into_iter()
+            .find(|k| s.eq_ignore_ascii_case(k.token()) || s.eq_ignore_ascii_case(k.name()))
+            .ok_or_else(|| format!("unknown scheme `{s}`"))
+    }
+}
+
 /// Full engine configuration.
 #[derive(Debug, Clone)]
 pub struct SecureMemConfig {
@@ -510,11 +515,11 @@ mod tests {
     #[test]
     fn tokens_round_trip_through_parse() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(SchemeKind::parse(scheme.token()), Some(scheme));
-            assert_eq!(SchemeKind::parse(scheme.name()), Some(scheme));
+            assert_eq!(scheme.token().parse(), Ok(scheme));
+            assert_eq!(scheme.name().parse(), Ok(scheme));
         }
-        assert_eq!(SchemeKind::parse("nope"), None);
-        assert_eq!(SchemeKind::parse(""), None);
+        assert!("nope".parse::<SchemeKind>().is_err());
+        assert!("".parse::<SchemeKind>().is_err());
     }
 
     #[test]
@@ -535,9 +540,9 @@ mod tests {
             ("zuo", SchemeKind::Zuo),
             ("freij", SchemeKind::Freij),
         ] {
-            assert_eq!(SchemeKind::parse(spelling), Some(scheme), "{spelling}");
+            assert_eq!(spelling.parse(), Ok(scheme), "{spelling}");
             let upper = spelling.to_ascii_uppercase();
-            assert_eq!(SchemeKind::parse(&upper), Some(scheme), "{upper}");
+            assert_eq!(upper.parse(), Ok(scheme), "{upper}");
         }
     }
 

@@ -149,8 +149,9 @@ impl AttackSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = SchemeKind::parse(scheme_str)
-            .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
+        let scheme = scheme_str
+            .parse::<SchemeKind>()
+            .map_err(|_| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let attack_str = field("attack")?;
         let attack = AttackKind::parse(attack_str)
             .ok_or_else(|| format!("invalid attack in replay spec: `{attack_str}`"))?;

@@ -10,9 +10,10 @@
 //! the *expected*, asserted outcome.
 //!
 //! ```text
-//! scue-attack [--seed N] [--points N] [--ops N] [--drive N]
-//!             [--scheme NAME] [--json PATH] [--jobs N]
-//!             [--replay scheme:attack:ops:inject_at]
+//! usage: scue-attack [--seed N] [--points N] [--ops N] [--drive N]
+//!                    [--scheme baseline|plp|lazy|eager|bmf|scue|phoenix|triad1|triad2|zuo|freij]
+//!                    [--json PATH] [--jobs N]
+//!                    [--replay scheme:attack:ops:inject_at]
 //! ```
 //!
 //! `--jobs` (default: available parallelism, overridable via the
@@ -26,9 +27,10 @@
 
 use scue::SchemeKind;
 use scue_sim::attack::{self, AttackConfig, AttackSpec};
-use scue_util::obs::Json;
-use scue_util::par;
+use scue_util::cli::{self, Cli};
 use std::process::ExitCode;
+
+const BIN: &str = "scue-attack";
 
 #[derive(Debug)]
 struct Args {
@@ -36,97 +38,44 @@ struct Args {
     points: usize,
     schemes: Vec<SchemeKind>,
     json_path: Option<String>,
-    replay: Option<String>,
+    replay: Option<(SchemeKind, AttackSpec)>,
     jobs: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-attack [--seed N] [--points N] [--ops N] [--drive N] \
-         [--scheme {}] [--json PATH] \
-         [--jobs N] [--replay scheme:attack:ops:inject_at]",
-        SchemeKind::token_choices()
-    );
-    std::process::exit(2);
-}
-
-/// Parses the command line against an explicit `SCUE_JOBS` value,
-/// naming the offending flag (or environment variable) and value on
-/// any error — separately testable from the process-exiting wrapper.
-fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
-    env_jobs: Option<&str>,
-) -> Result<Args, String> {
-    let mut cfg = AttackConfig::default();
-    let mut points = 20usize;
-    let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut replay = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
-        match flag.as_str() {
-            "--seed" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--points" => points = parsed("--points", &value("--points")?)?,
-            "--ops" => cfg.ops = parsed("--ops", &value("--ops")?)?,
-            "--drive" => cfg.drive_ops = parsed("--drive", &value("--drive")?)?,
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--replay" => replay = Some(value("--replay")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
-    Ok(Args {
-        cfg,
-        points,
-        schemes,
-        json_path,
-        replay,
-        jobs,
-    })
-}
-
-fn parse_args() -> Args {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_args_from(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-attack: {msg}");
-        }
-        usage();
-    })
-}
-
-/// Re-runs one attack case and reports the oracle's verdict. Malformed
-/// specs are diagnosed field by field on stderr.
-fn replay(spec: &str, cfg: &AttackConfig) -> ExitCode {
-    let (scheme, case) = match AttackSpec::diagnose_replay(spec) {
-        Ok(parsed) => parsed,
-        Err(why) => {
-            eprintln!("scue-attack: {why}");
-            usage();
-        }
+/// Parses the command line against an explicit `SCUE_JOBS` value.
+fn parse_args_from(argv: Vec<String>, env_jobs: Option<&str>) -> Result<Args, cli::Error> {
+    let mut args = Args {
+        cfg: AttackConfig::default(),
+        points: 20,
+        schemes: SchemeKind::ALL.to_vec(),
+        json_path: None,
+        replay: None,
+        jobs: 0,
     };
+    let mut replay = None;
+    let usage = Cli::new(BIN)
+        .value("--seed", "N", |v| args.cfg.seed = v)
+        .value("--points", "N", |v| args.points = v)
+        .value("--ops", "N", |v| args.cfg.ops = v)
+        .value("--drive", "N", |v| args.cfg.drive_ops = v)
+        .value("--scheme", SchemeKind::token_choices(), |v| {
+            args.schemes = vec![v]
+        })
+        .value("--json", "PATH", |v| args.json_path = Some(v))
+        .jobs(&mut args.jobs)
+        .value("--replay", "scheme:attack:ops:inject_at", |v: String| {
+            replay = Some(v)
+        })
+        .parse(argv, env_jobs)?;
+    args.replay = replay
+        .map(|spec| AttackSpec::diagnose_replay(&spec))
+        .transpose()
+        .map_err(|why| usage.error(why))?;
+    Ok(args)
+}
+
+/// Re-runs one attack case and reports the oracle's verdict.
+fn replay(scheme: SchemeKind, case: AttackSpec, cfg: &AttackConfig) -> ExitCode {
     let result = attack::run_attack_case(scheme, cfg, case);
     println!(
         "replay {scheme} attack={} ops={} inject_at={}: {} (mutated={}{})",
@@ -156,9 +105,9 @@ fn replay(spec: &str, cfg: &AttackConfig) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if let Some(spec) = &args.replay {
-        return replay(spec, &args.cfg);
+    let args = cli::parse_or_exit(parse_args_from);
+    if let Some((scheme, case)) = args.replay {
+        return replay(scheme, case, &args.cfg);
     }
 
     let started = std::time::Instant::now();
@@ -200,21 +149,7 @@ fn main() -> ExitCode {
     println!("campaign wall-clock: {wall_ms} ms at --jobs {}", args.jobs);
 
     if let Some(path) = &args.json_path {
-        // The campaign payload is byte-identical at any job count; the
-        // run's provenance rides in a trailing object so tooling can
-        // strip it before diffing (see scripts/verify.sh).
-        let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-attack: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
+        cli::write_json(BIN, path, report.to_json(), args.jobs, wall_ms);
     }
 
     if report.total_violations() > 0 {
@@ -235,103 +170,77 @@ mod tests {
     use super::*;
     use scue_sim::attack::AttackKind;
 
-    fn parse(tokens: &[&str], env_jobs: Option<&str>) -> Result<Args, String> {
-        parse_args_from(tokens.iter().map(|s| s.to_string()), env_jobs)
+    fn parse(line: &str, env_jobs: Option<&str>) -> Result<Args, String> {
+        let argv = line.split_whitespace().map(String::from).collect();
+        parse_args_from(argv, env_jobs).map_err(|e| e.to_string())
     }
 
     #[test]
     fn defaults_parse_clean() {
-        let args = parse(&[], None).unwrap();
-        assert_eq!(args.points, 20);
-        assert_eq!(args.schemes, SchemeKind::ALL.to_vec());
+        let args = parse("", None).unwrap();
+        assert_eq!((args.points, args.schemes), (20, SchemeKind::ALL.to_vec()));
         assert!(args.jobs >= 1);
     }
 
     #[test]
     fn full_flag_set_parses() {
         let args = parse(
-            &[
-                "--seed", "9", "--points", "8", "--ops", "64", "--drive", "80", "--scheme",
-                "phoenix", "--jobs", "4", "--json", "out.json",
-            ],
+            "--seed 9 --points 8 --ops 64 --drive 80 --scheme phoenix --jobs 4 --json out.json",
             None,
         )
         .unwrap();
-        assert_eq!(args.cfg.seed, 9);
-        assert_eq!(args.points, 8);
-        assert_eq!(args.cfg.ops, 64);
+        assert_eq!((args.cfg.seed, args.points, args.cfg.ops), (9, 8, 64));
         assert_eq!(args.cfg.drive_ops, 80);
-        assert_eq!(args.schemes, vec![SchemeKind::Phoenix]);
-        assert_eq!(args.jobs, 4);
+        assert_eq!((args.schemes, args.jobs), (vec![SchemeKind::Phoenix], 4));
         assert_eq!(args.json_path.as_deref(), Some("out.json"));
     }
 
     #[test]
     fn replay_specs_parse_through_the_flag() {
-        let args = parse(&["--replay", "scue:splice:48:17"], None).unwrap();
-        let (scheme, spec) = AttackSpec::diagnose_replay(args.replay.as_deref().unwrap()).unwrap();
-        assert_eq!(scheme, SchemeKind::Scue);
-        assert_eq!(spec.attack, AttackKind::Splice);
-        assert_eq!(spec.ops, 48);
-        assert_eq!(spec.inject_at, 17);
-    }
-
-    #[test]
-    fn bad_jobs_values_name_the_flag_and_value() {
-        for bad in ["0", "four", "", "-1", "2.5"] {
-            let err = parse(&["--jobs", bad], None).unwrap_err();
-            assert!(err.contains("--jobs"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-        }
+        let (scheme, spec) = parse("--replay scue:splice:48:17", None)
+            .unwrap()
+            .replay
+            .unwrap();
+        assert_eq!(
+            (scheme, spec.attack),
+            (SchemeKind::Scue, AttackKind::Splice)
+        );
+        assert_eq!((spec.ops, spec.inject_at), (48, 17));
+        let err = parse("--replay scue:splice:48", None).unwrap_err();
+        assert!(err.contains("inject_at"), "{err}");
     }
 
     #[test]
     fn env_jobs_applies_and_flag_wins() {
-        assert_eq!(parse(&[], Some("6")).unwrap().jobs, 6);
-        assert_eq!(parse(&["--jobs", "2"], Some("6")).unwrap().jobs, 2);
+        assert_eq!(parse("", Some("6")).unwrap().jobs, 6);
+        assert_eq!(parse("--jobs 2", Some("6")).unwrap().jobs, 2);
     }
 
     #[test]
     fn scheme_flag_takes_every_token_and_alias() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(
-                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
-                vec![scheme]
-            );
+            for spelling in [scheme.token(), scheme.name()] {
+                let args = parse(&format!("--scheme {spelling}"), None).unwrap();
+                assert_eq!(args.schemes, [scheme]);
+            }
         }
-        assert_eq!(
-            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
-            vec![SchemeKind::BmfIdeal]
-        );
-        assert_eq!(
-            parse(&["--scheme", "nope"], None).unwrap_err(),
-            "invalid value for --scheme: `nope`"
-        );
     }
 
     #[test]
     fn bad_values_name_the_flag_and_value() {
-        for (tokens, flag, value) in [
-            (vec!["--seed", "x"], "--seed", "x"),
-            (vec!["--points", "-1"], "--points", "-1"),
-            (vec!["--ops", "1.5"], "--ops", "1.5"),
-            (vec!["--drive", "soon"], "--drive", "soon"),
-            (vec!["--scheme", "mercury"], "--scheme", "mercury"),
-        ] {
-            let err = parse(&tokens, None).unwrap_err();
-            assert!(err.contains(flag), "{err:?} must name {flag}");
-            assert!(
-                err.contains(&format!("`{value}`")),
-                "{err:?} must show `{value}`"
-            );
+        for bad in ["--drive soon", "--scheme mercury"] {
+            let (flag, value) = bad.split_once(' ').unwrap();
+            let want = format!("invalid value for {flag}: `{value}`");
+            assert_eq!(parse(bad, None).unwrap_err(), want);
         }
     }
 
     #[test]
     fn missing_values_and_unknown_flags_are_errors() {
-        assert!(parse(&["--points"], None).unwrap_err().contains("--points"));
-        assert!(parse(&["--frobnicate"], None)
-            .unwrap_err()
-            .contains("--frobnicate"));
+        for flag in "--seed --points --ops --drive --scheme --json --replay".split(' ') {
+            assert!(parse(flag, None).unwrap_err().contains("requires a value"));
+        }
+        let err = parse("--frobnicate", None).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 }

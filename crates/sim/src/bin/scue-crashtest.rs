@@ -8,9 +8,10 @@
 //! differential oracle.
 //!
 //! ```text
-//! scue-crashtest [--seed N] [--kills N] [--epochs N] [--ops-per-epoch N]
-//!                [--scheme NAME] [--dir PATH] [--json PATH] [--jobs N]
-//! scue-crashtest --child SCHEME SEED EPOCHS OPS_PER_EPOCH IMAGE   (internal)
+//! usage: scue-crashtest [--seed N] [--kills N] [--epochs N] [--ops-per-epoch N]
+//!                       [--scheme baseline|plp|lazy|eager|bmf|scue|phoenix|triad1|triad2|zuo|freij]
+//!                       [--dir PATH] [--json PATH] [--jobs N]
+//!        scue-crashtest --child SCHEME SEED EPOCHS OPS_PER_EPOCH IMAGE   (internal)
 //! ```
 //!
 //! Exits 0 on a clean campaign, 1 on oracle violations, 2 on usage
@@ -19,9 +20,12 @@
 
 use scue::SchemeKind;
 use scue_sim::crashtest::{self, CrashtestConfig};
-use scue_util::obs::Json;
-use scue_util::par;
+use scue_util::cli::{self, Cli};
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
 use std::process::ExitCode;
+
+const BIN: &str = "scue-crashtest";
 
 #[derive(Debug)]
 struct Args {
@@ -31,76 +35,30 @@ struct Args {
     jobs: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-crashtest [--seed N] [--kills N] [--epochs N] \
-         [--ops-per-epoch N] [--scheme {}] \
-         [--dir PATH] [--json PATH] [--jobs N]",
-        SchemeKind::token_choices()
-    );
-    std::process::exit(2);
-}
-
-fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
-    env_jobs: Option<&str>,
-) -> Result<Args, String> {
-    let mut cfg = CrashtestConfig::default();
-    let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
-        match flag.as_str() {
-            "--seed" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--kills" => cfg.kills = parsed("--kills", &value("--kills")?)?,
-            "--epochs" => {
-                let v = value("--epochs")?;
-                cfg.epochs = parsed("--epochs", &v)?;
-                if cfg.epochs == 0 {
-                    return Err(format!("invalid value for --epochs: `{v}`"));
-                }
-            }
-            "--ops-per-epoch" => {
-                let v = value("--ops-per-epoch")?;
-                cfg.ops_per_epoch = parsed("--ops-per-epoch", &v)?;
-                if cfg.ops_per_epoch == 0 {
-                    return Err(format!("invalid value for --ops-per-epoch: `{v}`"));
-                }
-            }
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--dir" => cfg.dir = value("--dir")?.into(),
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
-    Ok(Args {
-        cfg,
-        schemes,
-        json_path,
-        jobs,
-    })
+/// Parses the campaign command line against an explicit `SCUE_JOBS`
+/// value.
+fn parse_args_from(argv: Vec<String>, env_jobs: Option<&str>) -> Result<Args, cli::Error> {
+    let mut args = Args {
+        cfg: CrashtestConfig::default(),
+        schemes: SchemeKind::ALL.to_vec(),
+        json_path: None,
+        jobs: 0,
+    };
+    Cli::new(BIN)
+        .value("--seed", "N", |v| args.cfg.seed = v)
+        .value("--kills", "N", |v| args.cfg.kills = v)
+        .value("--epochs", "N", |v: NonZeroUsize| args.cfg.epochs = v.get())
+        .value("--ops-per-epoch", "N", |v: NonZeroUsize| {
+            args.cfg.ops_per_epoch = v.get()
+        })
+        .value("--scheme", SchemeKind::token_choices(), |v| {
+            args.schemes = vec![v]
+        })
+        .value("--dir", "PATH", |v: PathBuf| args.cfg.dir = v)
+        .value("--json", "PATH", |v| args.json_path = Some(v))
+        .jobs(&mut args.jobs)
+        .parse(argv, env_jobs)?;
+    Ok(args)
 }
 
 /// Parses `--child SCHEME SEED EPOCHS OPS_PER_EPOCH IMAGE` operands,
@@ -115,8 +73,9 @@ fn parse_child_args(args: &[String]) -> Result<(SchemeKind, u64, usize, usize, &
             .map_err(|_| format!("invalid --child {name}: `{v}`"))
     }
     let scheme_token = arg(0, "SCHEME")?;
-    let scheme = SchemeKind::parse(scheme_token)
-        .ok_or_else(|| format!("invalid --child SCHEME: `{scheme_token}`"))?;
+    let scheme = scheme_token
+        .parse()
+        .map_err(|_| format!("invalid --child SCHEME: `{scheme_token}`"))?;
     let seed = num("SEED", arg(1, "SEED")?)?;
     let epochs = num("EPOCHS", arg(2, "EPOCHS")?)?;
     let ops = num("OPS_PER_EPOCH", arg(3, "OPS_PER_EPOCH")?)?;
@@ -148,13 +107,7 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("--child") {
         return run_child(&argv[1..]);
     }
-    let env = std::env::var(par::JOBS_ENV).ok();
-    let args = parse_args_from(argv.into_iter(), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-crashtest: {msg}");
-        }
-        usage();
-    });
+    let args = cli::parse_or_exit(parse_args_from);
     // A missing image directory would kill every child at image
     // creation and read as (bogus) oracle violations — fail it up
     // front as the operator error it is.
@@ -206,18 +159,7 @@ fn main() -> ExitCode {
     println!("campaign wall-clock: {wall_ms} ms at --jobs {}", args.jobs);
 
     if let Some(path) = &args.json_path {
-        let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-crashtest: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
+        cli::write_json(BIN, path, report.to_json(), args.jobs, wall_ms);
     }
 
     if report.total_violations() > 0 {
@@ -238,13 +180,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str], env_jobs: Option<&str>) -> Result<Args, String> {
-        parse_args_from(tokens.iter().map(|s| s.to_string()), env_jobs)
+    fn parse(line: &str, env_jobs: Option<&str>) -> Result<Args, String> {
+        let argv = line.split_whitespace().map(String::from).collect();
+        parse_args_from(argv, env_jobs).map_err(|e| e.to_string())
     }
 
     #[test]
     fn defaults_parse_clean() {
-        let args = parse(&[], None).unwrap();
+        let args = parse("", None).unwrap();
         assert_eq!(args.schemes, SchemeKind::ALL.to_vec());
         assert!(args.cfg.kills > 0 && args.cfg.epochs > 0);
         assert!(args.jobs >= 1);
@@ -253,34 +196,15 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let args = parse(
-            &[
-                "--seed",
-                "9",
-                "--kills",
-                "3",
-                "--epochs",
-                "2",
-                "--ops-per-epoch",
-                "10",
-                "--scheme",
-                "scue",
-                "--dir",
-                "/tmp/x",
-                "--jobs",
-                "4",
-                "--json",
-                "out.json",
-            ],
+            "--seed 9 --kills 3 --epochs 2 --ops-per-epoch 10 --scheme scue --dir /tmp/x \
+             --jobs 4 --json out.json",
             None,
         )
         .unwrap();
-        assert_eq!(args.cfg.seed, 9);
-        assert_eq!(args.cfg.kills, 3);
-        assert_eq!(args.cfg.epochs, 2);
-        assert_eq!(args.cfg.ops_per_epoch, 10);
-        assert_eq!(args.schemes, vec![SchemeKind::Scue]);
-        assert_eq!(args.cfg.dir, std::path::PathBuf::from("/tmp/x"));
-        assert_eq!(args.jobs, 4);
+        assert_eq!((args.cfg.seed, args.cfg.kills), (9, 3));
+        assert_eq!((args.cfg.epochs, args.cfg.ops_per_epoch), (2, 10));
+        assert_eq!((args.schemes, args.jobs), (vec![SchemeKind::Scue], 4));
+        assert_eq!(args.cfg.dir, PathBuf::from("/tmp/x"));
         assert_eq!(args.json_path.as_deref(), Some("out.json"));
     }
 
@@ -288,103 +212,65 @@ mod tests {
     fn zero_epochs_and_ops_echo_the_offending_token() {
         // `00` parses to zero; the error must echo the token as typed,
         // not a canonicalised `0`.
-        for (tokens, flag, value) in [
-            (vec!["--epochs", "0"], "--epochs", "0"),
-            (vec!["--epochs", "00"], "--epochs", "00"),
-            (vec!["--ops-per-epoch", "0"], "--ops-per-epoch", "0"),
-            (vec!["--ops-per-epoch", "000"], "--ops-per-epoch", "000"),
+        for (flag, value) in [
+            ("--epochs", "0"),
+            ("--epochs", "00"),
+            ("--ops-per-epoch", "0"),
+            ("--ops-per-epoch", "000"),
         ] {
-            let err = parse(&tokens, None).unwrap_err();
-            assert!(err.contains(flag), "{err:?} must name {flag}");
-            assert!(
-                err.contains(&format!("`{value}`")),
-                "{err:?} must show `{value}`"
-            );
+            let err = parse(&format!("{flag} {value}"), None).unwrap_err();
+            assert_eq!(err, format!("invalid value for {flag}: `{value}`"));
         }
     }
 
     #[test]
     fn scheme_flag_takes_every_token_and_alias() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(
-                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
-                vec![scheme]
-            );
+            for spelling in [scheme.token(), scheme.name()] {
+                let args = parse(&format!("--scheme {spelling}"), None).unwrap();
+                assert_eq!(args.schemes, [scheme]);
+            }
         }
-        assert_eq!(
-            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
-            vec![SchemeKind::BmfIdeal]
-        );
-        assert_eq!(
-            parse(&["--scheme", "nope"], None).unwrap_err(),
-            "invalid value for --scheme: `nope`"
-        );
     }
 
     #[test]
     fn bad_values_name_the_flag_and_value() {
-        for (tokens, flag, value) in [
-            (vec!["--seed", "x"], "--seed", "x"),
-            (vec!["--kills", "-1"], "--kills", "-1"),
-            (vec!["--epochs", "many"], "--epochs", "many"),
-            (vec!["--ops-per-epoch", "-3"], "--ops-per-epoch", "-3"),
-            (vec!["--scheme", "mercury"], "--scheme", "mercury"),
-            (vec!["--jobs", "0"], "--jobs", "0"),
-        ] {
-            let err = parse(&tokens, None).unwrap_err();
-            assert!(err.contains(flag), "{err:?} must name {flag}");
-            assert!(
-                err.contains(&format!("`{value}`")),
-                "{err:?} must show `{value}`"
-            );
+        for bad in ["--kills -1", "--epochs many"] {
+            let (flag, value) = bad.split_once(' ').unwrap();
+            let want = format!("invalid value for {flag}: `{value}`");
+            assert_eq!(parse(bad, None).unwrap_err(), want);
         }
     }
 
     #[test]
     fn missing_values_and_unknown_flags_are_errors() {
-        for flag in [
-            "--seed",
-            "--kills",
-            "--epochs",
-            "--ops-per-epoch",
-            "--dir",
-            "--json",
-        ] {
-            let err = parse(&[flag], None).unwrap_err();
-            assert!(err.contains(flag), "{err:?}");
-            assert!(err.contains("requires a value"), "{err:?}");
+        for flag in "--seed --kills --epochs --ops-per-epoch --scheme --dir --json".split(' ') {
+            assert!(parse(flag, None).unwrap_err().contains("requires a value"));
         }
-        let err = parse(&["--frobnicate"], None).unwrap_err();
-        assert!(err.contains("--frobnicate"), "{err:?}");
-        assert!(err.contains("unknown flag"), "{err:?}");
+        let err = parse("--frobnicate", None).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn env_jobs_applies_and_flag_wins() {
-        assert_eq!(parse(&[], Some("6")).unwrap().jobs, 6);
-        assert_eq!(parse(&["--jobs", "2"], Some("6")).unwrap().jobs, 2);
-        for bad in ["0", "lots", ""] {
-            let err = parse(&[], Some(bad)).unwrap_err();
-            assert!(err.contains("SCUE_JOBS"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-        }
+        assert_eq!(parse("", Some("6")).unwrap().jobs, 6);
+        assert_eq!(parse("--jobs 2", Some("6")).unwrap().jobs, 2);
     }
 
     #[test]
     fn child_args_errors_name_the_offending_argument() {
-        let strs =
-            |tokens: &[&str]| -> Vec<String> { tokens.iter().map(|s| s.to_string()).collect() };
-        let ok = strs(&["scue", "7", "4", "24", "/tmp/img"]);
-        assert!(parse_child_args(&ok).is_ok());
-        for (tokens, needle) in [
-            (strs(&[]), "SCHEME"),
-            (strs(&["mercury", "7", "4", "24", "img"]), "`mercury`"),
-            (strs(&["scue", "x", "4", "24", "img"]), "SEED"),
-            (strs(&["scue", "7", "-1", "24", "img"]), "EPOCHS"),
-            (strs(&["scue", "7", "4", "many", "img"]), "`many`"),
-            (strs(&["scue", "7", "4", "24"]), "IMAGE"),
+        let argv =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        assert!(parse_child_args(&argv("scue 7 4 24 /tmp/img")).is_ok());
+        for (line, needle) in [
+            ("", "SCHEME"),
+            ("mercury 7 4 24 img", "`mercury`"),
+            ("scue x 4 24 img", "SEED"),
+            ("scue 7 -1 24 img", "EPOCHS"),
+            ("scue 7 4 many img", "`many`"),
+            ("scue 7 4 24", "IMAGE"),
         ] {
-            let err = parse_child_args(&tokens).unwrap_err();
+            let err = parse_child_args(&argv(line)).unwrap_err();
             assert!(err.contains(needle), "{err:?} must contain {needle}");
             assert!(err.contains("--child"), "{err:?}");
         }

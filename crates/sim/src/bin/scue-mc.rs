@@ -9,9 +9,10 @@
 //! strict-windows torture oracle and the read-only recovery probe.
 //!
 //! ```text
-//! scue-mc [--blocks 2|3] [--ops N] [--seed N] [--scheme NAME]
-//!         [--max-states N] [--max-depth N] [--no-replay]
-//!         [--jobs N] [--json PATH]
+//! usage: scue-mc [--blocks 2..=3] [--ops 1..=4] [--seed N]
+//!                [--scheme baseline|plp|lazy|eager|bmf|scue|phoenix|triad1|triad2|zuo|freij]
+//!                [--max-states N] [--max-depth N] [--no-replay] [--jobs N]
+//!                [--json PATH]
 //! ```
 //!
 //! Exits 0 when the model-check matches the paper's claim (SCUE, PLP
@@ -24,9 +25,11 @@
 use scue::SchemeKind;
 use scue_sim::mc::{self, McConfig, SearchConfig};
 use scue_sim::torture::TortureConfig;
-use scue_util::obs::Json;
-use scue_util::par;
+use scue_util::cli::{self, Cli};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+
+const BIN: &str = "scue-mc";
 
 #[derive(Debug)]
 struct Args {
@@ -35,108 +38,49 @@ struct Args {
     json_path: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-mc [--blocks 2|3] [--ops N(1..=4)] [--seed N] \
-         [--scheme {}] [--max-states N] \
-         [--max-depth N] [--no-replay] [--jobs N] [--json PATH]",
-        SchemeKind::token_choices()
-    );
-    std::process::exit(2);
-}
-
-/// Parses the command line against an explicit `SCUE_JOBS` value,
-/// naming the offending flag and value on any error — separately
-/// testable from the process-exiting wrapper.
-fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
-    env_jobs: Option<&str>,
-) -> Result<Args, String> {
-    let mut search = SearchConfig::default();
-    let mut torture = TortureConfig::default();
-    let mut replay = true;
-    let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
-        match flag.as_str() {
-            "--blocks" => {
-                let v = value("--blocks")?;
-                let blocks: usize = parsed("--blocks", &v)?;
-                if !(2..=mc::MAX_BLOCKS).contains(&blocks) {
-                    return Err(format!("invalid value for --blocks: `{v}`"));
-                }
-                search.blocks = blocks;
-            }
-            "--ops" => {
-                let v = value("--ops")?;
-                let ops: usize = parsed("--ops", &v)?;
-                if !(1..=4).contains(&ops) {
-                    return Err(format!("invalid value for --ops: `{v}`"));
-                }
-                search.ops = ops;
-            }
-            "--seed" => torture.seed = parsed("--seed", &value("--seed")?)?,
-            "--max-states" => {
-                let v = value("--max-states")?;
-                let n: usize = parsed("--max-states", &v)?;
-                if n == 0 {
-                    return Err(format!("invalid value for --max-states: `{v}`"));
-                }
-                search.max_states = n;
-            }
-            "--max-depth" => search.max_depth = parsed("--max-depth", &value("--max-depth")?)?,
-            "--no-replay" => replay = false,
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    search.jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
-    Ok(Args {
+/// Parses the command line against an explicit `SCUE_JOBS` value.
+fn parse_args_from(argv: Vec<String>, env_jobs: Option<&str>) -> Result<Args, cli::Error> {
+    let mut args = Args {
         cfg: McConfig {
-            search,
-            torture,
-            replay,
+            search: SearchConfig::default(),
+            torture: TortureConfig::default(),
+            replay: true,
         },
-        schemes,
-        json_path,
-    })
-}
-
-fn parse_args() -> Args {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_args_from(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-mc: {msg}");
-        }
-        usage();
-    })
+        schemes: SchemeKind::ALL.to_vec(),
+        json_path: None,
+    };
+    let blocks = format!("2..={}", mc::MAX_BLOCKS);
+    let search = &mut args.cfg.search;
+    Cli::new(BIN)
+        .value_if(
+            "--blocks",
+            blocks,
+            |n| (2..=mc::MAX_BLOCKS).contains(n),
+            |v| search.blocks = v,
+        )
+        .value_if(
+            "--ops",
+            "1..=4",
+            |n| (1..=4).contains(n),
+            |v| search.ops = v,
+        )
+        .value("--seed", "N", |v| args.cfg.torture.seed = v)
+        .value("--scheme", SchemeKind::token_choices(), |v| {
+            args.schemes = vec![v]
+        })
+        .value("--max-states", "N", |v: NonZeroUsize| {
+            search.max_states = v.get()
+        })
+        .value("--max-depth", "N", |v| search.max_depth = v)
+        .switch("--no-replay", || args.cfg.replay = false)
+        .jobs(&mut search.jobs)
+        .value("--json", "PATH", |v| args.json_path = Some(v))
+        .parse(argv, env_jobs)?;
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = cli::parse_or_exit(parse_args_from);
     let started = std::time::Instant::now();
     let report = mc::run(&args.cfg, &args.schemes);
     let wall_ms = started.elapsed().as_millis() as u64;
@@ -198,21 +142,8 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.json_path {
-        // The report payload is byte-identical at any job count; the
-        // run's provenance rides in a trailing object so tooling can
-        // strip it before diffing (see scripts/verify.sh).
-        let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.cfg.search.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-mc: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
+        let jobs = args.cfg.search.jobs;
+        cli::write_json(BIN, path, report.to_json(), jobs, wall_ms);
     }
 
     let rcc = report.rcc_witnesses();
@@ -238,121 +169,78 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str], env_jobs: Option<&str>) -> Result<Args, String> {
-        parse_args_from(tokens.iter().map(|s| s.to_string()), env_jobs)
+    fn parse(line: &str, env_jobs: Option<&str>) -> Result<Args, String> {
+        let argv = line.split_whitespace().map(String::from).collect();
+        parse_args_from(argv, env_jobs).map_err(|e| e.to_string())
     }
 
     #[test]
     fn defaults_parse_clean() {
-        let args = parse(&[], None).unwrap();
-        assert_eq!(args.cfg.search.blocks, 2);
-        assert_eq!(args.cfg.search.ops, 3);
-        assert!(args.cfg.replay);
+        let args = parse("", None).unwrap();
+        assert_eq!((args.cfg.search.blocks, args.cfg.search.ops), (2, 3));
+        assert!(args.cfg.replay && args.cfg.search.jobs >= 1);
         assert_eq!(args.schemes, SchemeKind::ALL.to_vec());
-        assert!(args.cfg.search.jobs >= 1);
     }
 
     #[test]
     fn full_flag_set_parses() {
         let args = parse(
-            &[
-                "--blocks",
-                "3",
-                "--ops",
-                "4",
-                "--seed",
-                "9",
-                "--scheme",
-                "eager",
-                "--max-states",
-                "500",
-                "--max-depth",
-                "10",
-                "--no-replay",
-                "--jobs",
-                "4",
-                "--json",
-                "out.json",
-            ],
+            "--blocks 3 --ops 4 --seed 9 --scheme eager --max-states 500 --max-depth 10 \
+             --no-replay --jobs 4 --json out.json",
             None,
         )
         .unwrap();
-        assert_eq!(args.cfg.search.blocks, 3);
-        assert_eq!(args.cfg.search.ops, 4);
-        assert_eq!(args.cfg.torture.seed, 9);
+        let search = &args.cfg.search;
+        assert_eq!(
+            (search.blocks, search.ops, args.cfg.torture.seed),
+            (3, 4, 9)
+        );
         assert_eq!(args.schemes, vec![SchemeKind::Eager]);
-        assert_eq!(args.cfg.search.max_states, 500);
-        assert_eq!(args.cfg.search.max_depth, 10);
+        assert_eq!(
+            (search.max_states, search.max_depth, search.jobs),
+            (500, 10, 4)
+        );
         assert!(!args.cfg.replay);
-        assert_eq!(args.cfg.search.jobs, 4);
         assert_eq!(args.json_path.as_deref(), Some("out.json"));
     }
 
     #[test]
     fn scheme_flag_takes_every_token_and_alias() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(
-                parse(&["--scheme", scheme.token()], None).unwrap().schemes,
-                vec![scheme]
-            );
+            for spelling in [scheme.token(), scheme.name()] {
+                let args = parse(&format!("--scheme {spelling}"), None).unwrap();
+                assert_eq!(args.schemes, [scheme]);
+            }
         }
-        assert_eq!(
-            parse(&["--scheme", "bmf-ideal"], None).unwrap().schemes,
-            vec![SchemeKind::BmfIdeal]
-        );
-        assert_eq!(
-            parse(&["--scheme", "nope"], None).unwrap_err(),
-            "invalid value for --scheme: `nope`"
-        );
     }
 
     #[test]
     fn bad_values_name_the_flag_and_value() {
-        for (tokens, flag, value) in [
-            (vec!["--blocks", "1"], "--blocks", "1"),
-            (vec!["--blocks", "4"], "--blocks", "4"),
-            (vec!["--blocks", "two"], "--blocks", "two"),
-            (vec!["--ops", "0"], "--ops", "0"),
-            (vec!["--ops", "5"], "--ops", "5"),
-            (vec!["--seed", "x"], "--seed", "x"),
-            (vec!["--max-states", "0"], "--max-states", "0"),
-            (vec!["--max-depth", "-1"], "--max-depth", "-1"),
-            (vec!["--scheme", "mercury"], "--scheme", "mercury"),
-            (vec!["--jobs", "0"], "--jobs", "0"),
+        for bad in [
+            "--blocks 1",
+            "--blocks 4",
+            "--ops 0",
+            "--ops 5",
+            "--max-states 0",
         ] {
-            let err = parse(&tokens, None).unwrap_err();
-            assert!(err.contains(flag), "{err:?} must name {flag}");
-            assert!(
-                err.contains(&format!("`{value}`")),
-                "{err:?} must show `{value}`"
-            );
+            let (flag, value) = bad.split_once(' ').unwrap();
+            let want = format!("invalid value for {flag}: `{value}`");
+            assert_eq!(parse(bad, None).unwrap_err(), want);
         }
     }
 
     #[test]
     fn missing_values_and_unknown_flags_are_errors() {
-        for flag in ["--blocks", "--ops", "--seed", "--max-states", "--json"] {
-            let err = parse(&[flag], None).unwrap_err();
-            assert!(err.contains(flag), "{err:?}");
-            assert!(err.contains("requires a value"), "{err:?}");
+        for flag in "--blocks --ops --seed --scheme --max-states --max-depth --json".split(' ') {
+            assert!(parse(flag, None).unwrap_err().contains("requires a value"));
         }
-        let err = parse(&["--frobnicate"], None).unwrap_err();
-        assert!(err.contains("--frobnicate"), "{err:?}");
-        assert!(err.contains("unknown flag"), "{err:?}");
+        let err = parse("--frobnicate", None).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]
     fn env_jobs_applies_and_flag_wins() {
-        assert_eq!(parse(&[], Some("6")).unwrap().cfg.search.jobs, 6);
-        assert_eq!(
-            parse(&["--jobs", "2"], Some("6")).unwrap().cfg.search.jobs,
-            2
-        );
-        for bad in ["0", "lots", ""] {
-            let err = parse(&[], Some(bad)).unwrap_err();
-            assert!(err.contains("SCUE_JOBS"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-            assert_eq!(parse(&["--jobs", "3"], Some(bad)).unwrap_err(), err);
-        }
+        assert_eq!(parse("", Some("6")).unwrap().cfg.search.jobs, 6);
+        assert_eq!(parse("--jobs 2", Some("6")).unwrap().cfg.search.jobs, 2);
     }
 }

@@ -3,9 +3,9 @@
 //! time and the allocations go.
 //!
 //! ```text
-//! scue-profile [--scheme SCHEME]... [--ops N] [--seed N] [--jobs N]
-//!              [--clock virtual|monotonic] [--top N]
-//!              [--json PATH] [--chrome-trace PATH]
+//! usage: scue-profile [--scheme baseline|plp|lazy|eager|bmf|scue|phoenix|triad1|triad2|zuo|freij]...
+//!                     [--ops N] [--seed N] [--jobs N] [--clock virtual|monotonic]
+//!                     [--top N] [--json PATH] [--chrome-trace PATH]
 //! ```
 //!
 //! Prints a top-N self-time table aggregated across the profiled
@@ -24,134 +24,62 @@
 
 use scue::SchemeKind;
 use scue_sim::profile::{self, ProfileConfig};
+use scue_util::cli::{self, Cli};
 use scue_util::obs::span::Clock;
-use scue_util::obs::Json;
-use scue_util::par;
+use std::num::{NonZeroU64, NonZeroUsize};
 
+const BIN: &str = "scue-profile";
+
+#[derive(Debug)]
 struct Args {
-    schemes: Vec<SchemeKind>,
-    ops: u64,
-    seed: u64,
-    jobs: Option<usize>,
-    clock: Clock,
+    cfg: ProfileConfig,
+    jobs: usize,
     top: usize,
     json: Option<String>,
     chrome_trace: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-profile [--scheme {}]...",
-        SchemeKind::token_choices()
-    );
-    eprintln!("                    [--ops N] [--seed N] [--jobs N]");
-    eprintln!("                    [--clock virtual|monotonic] [--top N]");
-    eprintln!("                    [--json PATH] [--chrome-trace PATH]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+/// Parses the command line against an explicit `SCUE_JOBS` value.
+fn parse_args_from(argv: Vec<String>, env_jobs: Option<&str>) -> Result<Args, cli::Error> {
     let mut args = Args {
-        schemes: Vec::new(),
-        ops: 300,
-        seed: 7,
-        jobs: None,
-        clock: Clock::Monotonic,
+        cfg: ProfileConfig {
+            schemes: Vec::new(),
+            ops: 300,
+            seed: 7,
+            clock: Clock::Monotonic,
+        },
+        jobs: 0,
         top: 12,
         json: None,
         chrome_trace: None,
     };
-    let mut it = std::env::args().skip(1);
-    let fail = |msg: String| -> ! {
-        eprintln!("scue-profile: {msg}");
-        usage();
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value("--scheme");
-                let scheme = SchemeKind::parse(&v)
-                    .unwrap_or_else(|| fail(format!("invalid value for --scheme: `{v}`")));
-                args.schemes.push(scheme);
-            }
-            "--ops" => {
-                let v = value("--ops");
-                args.ops = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n > 0)
-                    .unwrap_or_else(|| fail(format!("invalid value for --ops: `{v}`")));
-            }
-            "--seed" => {
-                let v = value("--seed");
-                args.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("invalid value for --seed: `{v}`")));
-            }
-            "--jobs" => {
-                let v = value("--jobs");
-                args.jobs = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| fail(format!("invalid value for --jobs: `{v}`"))),
-                );
-            }
-            "--clock" => {
-                args.clock = match value("--clock").as_str() {
-                    "virtual" => Clock::Virtual,
-                    "monotonic" => Clock::Monotonic,
-                    v => fail(format!("invalid value for --clock: `{v}`")),
-                };
-            }
-            "--top" => {
-                let v = value("--top");
-                args.top = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| fail(format!("invalid value for --top: `{v}`")));
-            }
-            "--json" => args.json = Some(value("--json")),
-            "--chrome-trace" => args.chrome_trace = Some(value("--chrome-trace")),
-            "--help" | "-h" => usage(),
-            other => fail(format!("unknown flag `{other}`")),
-        }
+    Cli::new(BIN)
+        .value("--scheme", SchemeKind::token_choices(), |v| {
+            args.cfg.schemes.push(v)
+        })
+        .repeatable()
+        .value("--ops", "N", |v: NonZeroU64| args.cfg.ops = v.get())
+        .value("--seed", "N", |v| args.cfg.seed = v)
+        .jobs(&mut args.jobs)
+        .value("--clock", "virtual|monotonic", |v| args.cfg.clock = v)
+        .value("--top", "N", |v: NonZeroUsize| args.top = v.get())
+        .value("--json", "PATH", |v| args.json = Some(v))
+        .value("--chrome-trace", "PATH", |v| args.chrome_trace = Some(v))
+        .parse(argv, env_jobs)?;
+    if args.cfg.schemes.is_empty() {
+        args.cfg.schemes = SchemeKind::ALL.to_vec();
     }
-    if args.schemes.is_empty() {
-        args.schemes = SchemeKind::ALL.to_vec();
-    }
-    args
-}
-
-fn write_file(path: &str, content: &str) {
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("scue-profile: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
-    let jobs = par::resolve_jobs(args.jobs).unwrap_or_else(|msg| {
-        eprintln!("scue-profile: {msg}");
-        usage();
-    });
-    let cfg = ProfileConfig {
-        schemes: args.schemes.clone(),
-        ops: args.ops,
-        seed: args.seed,
-        clock: args.clock,
-    };
+    let args = cli::parse_or_exit(parse_args_from);
+    let cfg = &args.cfg;
     let started = std::time::Instant::now();
-    let results = profile::run(&cfg, jobs);
+    let results = profile::run(cfg, args.jobs);
     let wall_ms = started.elapsed().as_millis() as u64;
 
-    let unit = match args.clock {
+    let unit = match cfg.clock {
         Clock::Monotonic => "ns",
         Clock::Virtual => "ticks",
     };
@@ -190,18 +118,59 @@ fn main() {
         );
     }
 
-    let provenance = Json::obj()
-        .with("jobs", Json::U64(jobs as u64))
-        .with("wall_ms", Json::U64(wall_ms));
     if let Some(path) = &args.json {
-        let doc = profile::to_doc(&cfg, &results).with("provenance", provenance.clone());
-        write_file(path, &doc.render_doc());
-        println!();
-        println!("profile json:  {path}");
+        let doc = profile::to_doc(cfg, &results);
+        cli::write_json(BIN, path, doc, args.jobs, wall_ms);
     }
     if let Some(path) = &args.chrome_trace {
-        let doc = profile::to_chrome_trace(&cfg, &results).with("provenance", provenance);
-        write_file(path, &doc.render_doc());
-        println!("chrome trace:  {path} (open in ui.perfetto.dev)");
+        let doc = profile::to_chrome_trace(cfg, &results);
+        cli::write_json(BIN, path, doc, args.jobs, wall_ms);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv = line.split_whitespace().map(String::from).collect();
+        parse_args_from(argv, None).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn defaults_parse_clean() {
+        let args = parse("").unwrap();
+        assert_eq!(args.cfg.schemes, SchemeKind::ALL.to_vec());
+        assert_eq!((args.cfg.ops, args.cfg.seed, args.top), (300, 7, 12));
+        assert_eq!(args.cfg.clock, Clock::Monotonic);
+    }
+
+    #[test]
+    fn full_flag_set_parses() {
+        let args = parse(
+            "--scheme scue --ops 40 --seed 9 --jobs 3 --clock virtual --top 5 --json p.json \
+             --chrome-trace c.json --scheme BMF-ideal",
+        )
+        .unwrap();
+        let schemes = [SchemeKind::Scue, SchemeKind::BmfIdeal];
+        assert_eq!(
+            (args.cfg.schemes, args.cfg.clock),
+            (schemes.to_vec(), Clock::Virtual)
+        );
+        assert_eq!(
+            (args.cfg.ops, args.cfg.seed, args.jobs, args.top),
+            (40, 9, 3, 5)
+        );
+        assert_eq!(args.json.as_deref(), Some("p.json"));
+        assert_eq!(args.chrome_trace.as_deref(), Some("c.json"));
+    }
+
+    #[test]
+    fn bad_values_name_the_flag_and_value() {
+        for bad in ["--clock wall", "--top 0", "--ops 00"] {
+            let (flag, value) = bad.split_once(' ').unwrap();
+            let want = format!("invalid value for {flag}: `{value}`");
+            assert_eq!(parse(bad).unwrap_err(), want);
+        }
     }
 }

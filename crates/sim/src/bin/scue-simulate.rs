@@ -3,22 +3,31 @@
 //! machine-readable metrics export.
 //!
 //! ```text
-//! scue-simulate [--scheme SCHEME] [--workload NAME] [--ops N]
-//!               [--seed N] [--hash-latency CYC] [--cores N]
-//!               [--crash-at CYCLE] [--eadr] [--jobs N]
-//!               [--metrics-json PATH] [--trace-events PATH]
-//!               [--sample-interval CYCLES]
+//! usage: scue-simulate [--scheme baseline|plp|lazy|eager|bmf|scue|phoenix|triad1|triad2|zuo|freij]
+//!                      [--workload array|btree|hash|queue|rbtree|lbm|mcf|libquantum|omnetpp|milc|soplex|gcc|bwaves]
+//!                      [--ops N] [--seed N] [--hash-latency CYC] [--cores N]
+//!                      [--crash-at CYCLE] [--eadr] [--jobs N]
+//!                      [--metrics-json PATH] [--trace-events PATH]
+//!                      [--sample-interval CYCLES]
 //! ```
 //!
 //! `--jobs` (default: available parallelism, `SCUE_JOBS` overridable)
 //! fans per-core trace generation out over worker threads; each core's
 //! trace is a pure function of `seed + core`, so the run is
 //! byte-identical at any job count.
+//!
+//! `--crash-at` replays core 0's trace up to the crash cycle, so it
+//! runs with one core only: combined with `--cores N > 1` it is a usage
+//! error.
 
 use scue::{CrashError, SchemeKind, SecureMemConfig};
 use scue_sim::{ReportConfig, RunReport, System, SystemConfig};
+use scue_util::cli::{self, Cli};
 use scue_util::par;
 use scue_workloads::{Trace, Workload};
+use std::num::{NonZeroU64, NonZeroUsize};
+
+const BIN: &str = "scue-simulate";
 
 /// Default epoch length when sampling is on but no interval was given.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
@@ -36,35 +45,14 @@ struct Args {
     cores: usize,
     crash_at: Option<u64>,
     eadr: bool,
-    jobs: Option<usize>,
+    jobs: usize,
     metrics_json: Option<String>,
     trace_events: Option<String>,
     sample_interval: Option<u64>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-simulate [--scheme {}]",
-        SchemeKind::token_choices()
-    );
-    eprintln!("                     [--workload array|btree|hash|queue|rbtree|lbm|mcf|");
-    eprintln!("                      libquantum|omnetpp|milc|soplex|gcc|bwaves]");
-    eprintln!("                     [--ops N] [--seed N] [--hash-latency 20|40|80|160]");
-    eprintln!("                     [--cores N] [--crash-at CYCLE] [--eadr] [--jobs N]");
-    eprintln!("                     [--metrics-json PATH] [--trace-events PATH]");
-    eprintln!("                     [--sample-interval CYCLES]");
-    std::process::exit(2);
-}
-
-fn parse_workload(s: &str) -> Option<Workload> {
-    Workload::ALL
-        .into_iter()
-        .find(|w| w.name() == s.to_ascii_lowercase())
-}
-
-/// Parses the command line, naming the offending flag and value on any
-/// error (separately testable from the process-exiting wrapper).
-fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+/// Parses the command line against an explicit `SCUE_JOBS` value.
+fn parse_args_from(argv: Vec<String>, env_jobs: Option<&str>) -> Result<Args, cli::Error> {
     let mut args = Args {
         scheme: SchemeKind::Scue,
         workload: Workload::Btree,
@@ -74,70 +62,38 @@ fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String>
         cores: 1,
         crash_at: None,
         eadr: false,
-        jobs: None,
+        jobs: 0,
         metrics_json: None,
         trace_events: None,
         sample_interval: None,
     };
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value("--scheme")?;
-                args.scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-            }
-            "--workload" => {
-                let v = value("--workload")?;
-                args.workload = parse_workload(&v)
-                    .ok_or_else(|| format!("invalid value for --workload: `{v}`"))?;
-            }
-            "--ops" => args.ops = parsed("--ops", &value("--ops")?)?,
-            "--seed" => args.seed = parsed("--seed", &value("--seed")?)?,
-            "--hash-latency" => {
-                args.hash_latency = parsed("--hash-latency", &value("--hash-latency")?)?
-            }
-            "--cores" => args.cores = parsed("--cores", &value("--cores")?)?,
-            "--crash-at" => args.crash_at = Some(parsed("--crash-at", &value("--crash-at")?)?),
-            "--eadr" => args.eadr = true,
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                args.jobs = Some(jobs);
-            }
-            "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
-            "--trace-events" => args.trace_events = Some(value("--trace-events")?),
-            "--sample-interval" => {
-                let v = value("--sample-interval")?;
-                let interval: u64 = parsed("--sample-interval", &v)?;
-                if interval == 0 {
-                    return Err(format!("invalid value for --sample-interval: `{v}`"));
-                }
-                args.sample_interval = Some(interval);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+    let workloads = Workload::ALL.map(Workload::name).join("|");
+    let usage = Cli::new(BIN)
+        .value("--scheme", SchemeKind::token_choices(), |v| args.scheme = v)
+        .value("--workload", workloads, |v| args.workload = v)
+        .value("--ops", "N", |v| args.ops = v)
+        .value("--seed", "N", |v| args.seed = v)
+        .value("--hash-latency", "CYC", |v: NonZeroU64| {
+            args.hash_latency = v.get()
+        })
+        .value("--cores", "N", |v: NonZeroUsize| args.cores = v.get())
+        .value("--crash-at", "CYCLE", |v| args.crash_at = Some(v))
+        .switch("--eadr", || args.eadr = true)
+        .jobs(&mut args.jobs)
+        .value("--metrics-json", "PATH", |v| args.metrics_json = Some(v))
+        .value("--trace-events", "PATH", |v| args.trace_events = Some(v))
+        .value("--sample-interval", "CYCLES", |v: NonZeroU64| {
+            args.sample_interval = Some(v.get())
+        })
+        .parse(argv, env_jobs)?;
+    // A crash run replays core 0's trace only (`System::run_until`).
+    if args.crash_at.is_some() && args.cores > 1 {
+        return Err(usage.error(format!(
+            "--crash-at runs one core; it cannot be combined with --cores {}",
+            args.cores
+        )));
     }
     Ok(args)
-}
-
-fn parse_args() -> Args {
-    parse_args_from(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-simulate: {msg}");
-        }
-        usage();
-    })
 }
 
 /// Reports a mid-run engine failure — detected tampering, cache
@@ -181,11 +137,8 @@ fn export(args: &Args, system: &System, report: &RunReport) {
 }
 
 fn main() {
-    let args = parse_args();
-    let jobs = par::resolve_jobs(args.jobs).unwrap_or_else(|msg| {
-        eprintln!("scue-simulate: {msg}");
-        usage();
-    });
+    let args = cli::parse_or_exit(parse_args_from);
+    let jobs = args.jobs;
     let mem = SecureMemConfig::paper(args.scheme)
         .with_hash_latency(args.hash_latency)
         .with_eadr(args.eadr);
@@ -308,101 +261,84 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str]) -> Result<Args, String> {
-        parse_args_from(tokens.iter().map(|s| s.to_string()))
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv = line.split_whitespace().map(String::from).collect();
+        parse_args_from(argv, None).map_err(|e| e.to_string())
     }
 
     #[test]
     fn defaults_parse_clean() {
-        let args = parse(&[]).unwrap();
-        assert_eq!(args.scheme, SchemeKind::Scue);
-        assert_eq!(args.ops, 20_000);
-        assert_eq!(args.crash_at, None);
+        let args = parse("").unwrap();
+        assert_eq!(
+            (args.scheme, args.ops, args.crash_at),
+            (SchemeKind::Scue, 20_000, None)
+        );
     }
 
     #[test]
     fn full_flag_set_parses() {
-        let args = parse(&[
-            "--scheme",
-            "plp",
-            "--workload",
-            "queue",
-            "--ops",
-            "500",
-            "--seed",
-            "9",
-            "--hash-latency",
-            "80",
-            "--cores",
-            "2",
-            "--crash-at",
-            "12345",
-            "--eadr",
-            "--sample-interval",
-            "1000",
-            "--jobs",
-            "3",
-        ])
+        let args = parse(
+            "--scheme plp --workload queue --ops 500 --seed 9 --hash-latency 80 --cores 1 \
+             --crash-at 12345 --eadr --sample-interval 1000 --jobs 3 \
+             --metrics-json m.json --trace-events e.json",
+        )
         .unwrap();
-        assert_eq!(args.scheme, SchemeKind::Plp);
-        assert_eq!(args.workload, Workload::Queue);
-        assert_eq!(args.ops, 500);
-        assert_eq!(args.seed, 9);
-        assert_eq!(args.hash_latency, 80);
-        assert_eq!(args.cores, 2);
-        assert_eq!(args.crash_at, Some(12345));
-        assert!(args.eadr);
-        assert_eq!(args.sample_interval, Some(1000));
-        assert_eq!(args.jobs, Some(3));
+        assert_eq!(
+            (args.scheme, args.workload),
+            (SchemeKind::Plp, Workload::Queue)
+        );
+        assert_eq!((args.ops, args.seed, args.hash_latency), (500, 9, 80));
+        assert_eq!(
+            (args.cores, args.crash_at, args.eadr),
+            (1, Some(12345), true)
+        );
+        assert_eq!((args.sample_interval, args.jobs), (Some(1000), 3));
+        assert_eq!(args.metrics_json.as_deref(), Some("m.json"));
+        assert_eq!(args.trace_events.as_deref(), Some("e.json"));
     }
 
     #[test]
     fn jobs_defaults_to_unset_so_env_and_parallelism_apply() {
-        assert_eq!(parse(&[]).unwrap().jobs, None);
+        assert_eq!(parse("").unwrap().jobs, par::available_jobs());
     }
 
     #[test]
     fn scheme_flag_takes_every_token_and_alias() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(parse(&["--scheme", scheme.token()]).unwrap().scheme, scheme);
+            for spelling in [scheme.token(), scheme.name()] {
+                let args = parse(&format!("--scheme {spelling}")).unwrap();
+                assert_eq!(args.scheme, scheme);
+            }
         }
-        assert_eq!(
-            parse(&["--scheme", "bmf-ideal"]).unwrap().scheme,
-            SchemeKind::BmfIdeal
-        );
-        assert_eq!(
-            parse(&["--scheme", "nope"]).unwrap_err(),
-            "invalid value for --scheme: `nope`"
-        );
     }
 
     #[test]
     fn bad_values_name_the_flag_and_value() {
-        for (tokens, flag, value) in [
-            (vec!["--ops", "abc"], "--ops", "abc"),
-            (vec!["--seed", "-3"], "--seed", "-3"),
-            (vec!["--crash-at", "1e9"], "--crash-at", "1e9"),
-            (vec!["--cores", ""], "--cores", ""),
-            (vec!["--scheme", "mercury"], "--scheme", "mercury"),
-            (vec!["--workload", "nope"], "--workload", "nope"),
-            (vec!["--sample-interval", "0"], "--sample-interval", "0"),
-            (vec!["--jobs", "0"], "--jobs", "0"),
-            (vec!["--jobs", "four"], "--jobs", "four"),
+        for bad in [
+            "--workload nope",
+            "--sample-interval 0",
+            "--cores 0",
+            "--hash-latency 0",
         ] {
-            let err = parse(&tokens).unwrap_err();
-            assert!(err.contains(flag), "{err:?} must name {flag}");
-            assert!(
-                err.contains(&format!("`{value}`")),
-                "{err:?} must show `{value}`"
-            );
+            let (flag, value) = bad.split_once(' ').unwrap();
+            let want = format!("invalid value for {flag}: `{value}`");
+            assert_eq!(parse(bad).unwrap_err(), want);
         }
+        // A crash run replays core 0 only.
+        let err = parse("--crash-at 5000 --cores 2").unwrap_err();
+        assert!(
+            err.contains("--crash-at") && err.contains("--cores 2"),
+            "{err}"
+        );
     }
 
     #[test]
     fn missing_values_and_unknown_flags_are_errors() {
-        assert!(parse(&["--ops"]).unwrap_err().contains("--ops"));
-        assert!(parse(&["--frobnicate"])
-            .unwrap_err()
-            .contains("--frobnicate"));
+        let flags = "--scheme --workload --ops --seed --hash-latency \
+                     --cores --crash-at --metrics-json --trace-events --sample-interval";
+        for flag in flags.split_whitespace() {
+            assert!(parse(flag).unwrap_err().contains("requires a value"));
+        }
+        assert!(parse("--frobnicate").unwrap_err().contains("unknown flag"));
     }
 }

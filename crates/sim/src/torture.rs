@@ -144,8 +144,9 @@ impl CaseSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = SchemeKind::parse(scheme_str)
-            .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
+        let scheme = scheme_str
+            .parse::<SchemeKind>()
+            .map_err(|_| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let ops_str = field("ops")?;
         let ops = ops_str
             .parse()

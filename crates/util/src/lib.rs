@@ -23,7 +23,10 @@
 //!   collection and first-cell panic propagation, so sweeps produce
 //!   byte-identical output at any `--jobs` count;
 //! * [`hash`] — a fixed multiplicative hasher for the maps keyed by
-//!   line addresses and leaf indices on the simulator's hot path.
+//!   line addresses and leaf indices on the simulator's hot path;
+//! * [`cli`] — the one command-line parser of the bins: a flag table
+//!   that parses argv, renders the usage line and owns the exit-2
+//!   error contract, plus the JSON writer that stamps run provenance.
 
 // `deny` rather than `forbid`: the counting global allocator
 // (`obs::alloc`) implements the inherently-unsafe `GlobalAlloc` trait
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod cli;
 pub mod hash;
 pub mod obs;
 pub mod par;

@@ -76,6 +76,18 @@ impl Clock {
     }
 }
 
+/// Parses a clock from its [`Clock::name`].
+impl std::str::FromStr for Clock {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Clock, String> {
+        [Clock::Monotonic, Clock::Virtual]
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| format!("unknown clock `{s}`"))
+    }
+}
+
 /// Turns span collection on or off process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);

@@ -135,6 +135,18 @@ impl std::fmt::Display for Workload {
     }
 }
 
+/// Parses a workload from its name, ignoring ASCII case.
+impl std::str::FromStr for Workload {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Workload, String> {
+        Workload::ALL
+            .into_iter()
+            .find(|w| s.eq_ignore_ascii_case(w.name()))
+            .ok_or_else(|| format!("unknown workload `{s}`"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +163,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 13);
+    }
+
+    #[test]
+    fn names_parse_back_in_any_case() {
+        for w in Workload::ALL {
+            assert_eq!(w.name().parse(), Ok(w));
+            assert_eq!(w.name().to_ascii_uppercase().parse(), Ok(w));
+        }
+        assert!("nope".parse::<Workload>().is_err());
     }
 
     #[test]

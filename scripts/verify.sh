@@ -45,6 +45,17 @@ if [ -n "$missing_safety" ]; then
     exit 1
 fi
 
+echo "==> one command-line parser: only scue_util::cli builds flag errors"
+# Every bin reads its flags through `scue_util::cli`, which owns the
+# usage-error messages. A hand-rolled flag loop would format them
+# itself; tests assert on them with `contains`, not `format!`.
+flag_error_sites="$(grep -rn 'format!(.*\(unknown flag\|requires a value\)' crates --include=*.rs || true)"
+if grep -v '^crates/util/src/cli\.rs:' <<<"$flag_error_sites" | grep -q .; then
+    echo "ERROR: flag-error messages built outside crates/util/src/cli.rs:" >&2
+    grep -v '^crates/util/src/cli\.rs:' <<<"$flag_error_sites" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --all-targets
 
